@@ -63,6 +63,7 @@ pub mod adversary;
 pub mod energy;
 pub mod fault;
 pub mod frame;
+pub(crate) mod grid;
 pub mod mac;
 pub mod medium;
 pub mod node;

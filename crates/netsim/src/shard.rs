@@ -54,7 +54,7 @@
 //! CSMA MAC phase) and read concurrently by the receive phase.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -66,6 +66,7 @@ use retri_obs::Obs;
 use crate::energy::EnergyMeter;
 use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
+use crate::grid::{cell_of, Cell, FxHashMap, FxHashSet};
 use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
 use crate::medium::{DeliveryFailure, Verdict};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
@@ -305,7 +306,7 @@ struct AirRecord {
     /// Grid cell of the sender at transmission start (the interference
     /// scan bucket; a sender relocating mid-flight keeps its record in
     /// the origin cell).
-    cell: (i64, i64),
+    cell: Cell,
     /// Whether the transmission's MAC `TxEnd` has run (clears carrier
     /// sense; judgments ignore this flag, exactly like the serial
     /// medium).
@@ -402,7 +403,7 @@ struct AirView {
     records: VecDeque<AirRecord>,
     base_seq: u64,
     /// Per-cell record sequence numbers, in insertion (= seq) order.
-    cells: HashMap<(i64, i64), VecDeque<u64>>,
+    cells: FxHashMap<Cell, VecDeque<u64>>,
     /// Per-sender record sequence numbers, indexed by node.
     by_node: Vec<VecDeque<u64>>,
     /// Longest airtime ever inserted, in microseconds (monotone).
@@ -415,17 +416,10 @@ impl AirView {
             cell_size,
             records: VecDeque::new(),
             base_seq: 0,
-            cells: HashMap::new(),
+            cells: FxHashMap::default(),
             by_node: Vec::new(),
             max_airtime_micros: 0,
         }
-    }
-
-    fn cell_of(&self, position: Position) -> (i64, i64) {
-        (
-            (position.x / self.cell_size).floor() as i64,
-            (position.y / self.cell_size).floor() as i64,
-        )
     }
 
     fn add_node(&mut self) {
@@ -468,7 +462,7 @@ impl AirView {
         now: SimTime,
         topology: &Topology,
     ) -> bool {
-        let (cx, cy) = self.cell_of(position);
+        let (cx, cy) = cell_of(position, self.cell_size);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
@@ -546,7 +540,7 @@ impl AirReads for AirView {
         exclude_seq: u64,
         topology: &Topology,
     ) -> bool {
-        let (cx, cy) = self.cell_of(position);
+        let (cx, cy) = cell_of(position, self.cell_size);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
@@ -588,11 +582,11 @@ struct GhostAir {
     /// Live records in ascending-seq order (mirrors the global view's
     /// retention window for this shard's subset).
     order: VecDeque<u64>,
-    records: HashMap<u64, AirRecord>,
+    records: FxHashMap<u64, AirRecord>,
     /// Per-cell record seqs, ascending.
-    cells: HashMap<(i64, i64), VecDeque<u64>>,
+    cells: FxHashMap<Cell, VecDeque<u64>>,
     /// Per-sender record seqs, ascending.
-    by_node: HashMap<u32, VecDeque<u64>>,
+    by_node: FxHashMap<u32, VecDeque<u64>>,
 }
 
 impl GhostAir {
@@ -662,13 +656,6 @@ impl GhostAir {
             }
         }
     }
-
-    fn cell_of(&self, position: Position) -> (i64, i64) {
-        (
-            (position.x / self.cell_size).floor() as i64,
-            (position.y / self.cell_size).floor() as i64,
-        )
-    }
 }
 
 impl AirReads for GhostAir {
@@ -701,7 +688,7 @@ impl AirReads for GhostAir {
         exclude_seq: u64,
         topology: &Topology,
     ) -> bool {
-        let (cx, cy) = self.cell_of(position);
+        let (cx, cy) = cell_of(position, self.cell_size);
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
@@ -780,7 +767,7 @@ struct LocalNode<P> {
     /// Gilbert–Elliott state for this receiver (`true` = bad).
     fault_bad: bool,
     next_timer_handle: u64,
-    cancelled: HashSet<TimerHandle>,
+    cancelled: FxHashSet<TimerHandle>,
     /// Orders this node's MAC-phase events.
     mac_seq: u64,
     /// Counts this node's transmissions.
@@ -811,7 +798,7 @@ impl<P> LocalNode<P> {
             fault_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.fault", id)),
             fault_bad: false,
             next_timer_handle: 0,
-            cancelled: HashSet::new(),
+            cancelled: FxHashSet::default(),
             mac_seq: 0,
             tx_count: 0,
             assigned: VecDeque::new(),
@@ -884,7 +871,7 @@ struct ShardCore<P> {
     /// air records this shard may need — refcounted by how many owned
     /// nodes contribute each cell, so a move patches the set with a
     /// ±1-ring delta instead of a full rebuild.
-    interest: HashMap<(i64, i64), u32>,
+    interest: FxHashMap<Cell, u32>,
     /// Windows this shard fast-forwarded through without dispatching a
     /// single event (no queued MAC work, no pending receive events).
     windows_skipped: u64,
@@ -911,7 +898,7 @@ impl<P: Protocol> ShardCore<P> {
             commands: Vec::new(),
             receiver_scratch: Vec::new(),
             ghost: GhostAir::default(),
-            interest: HashMap::new(),
+            interest: FxHashMap::default(),
             windows_skipped: 0,
             mac_was_idle: true,
         }
@@ -1150,7 +1137,7 @@ impl<P: Protocol> ShardCore<P> {
             // same-window carrier senses must hear it.
             let seq = *cs.next_seq;
             *cs.next_seq += 1;
-            let cell = cs.air.cell_of(pos);
+            let cell = cell_of(pos, cs.air.cell_size);
             cs.air.insert(AirRecord {
                 seq,
                 sender: node,
@@ -1584,14 +1571,6 @@ impl<P: Protocol> ShardCore<P> {
     }
 }
 
-/// Grid cell of a position at the given pitch (the radio range).
-fn strategy_cell_of(position: Position, cell_size: f64) -> (i64, i64) {
-    (
-        (position.x / cell_size).floor() as i64,
-        (position.y / cell_size).floor() as i64,
-    )
-}
-
 /// A policy assigning every node to one of `K` shard cores.
 ///
 /// Placement is pure load balancing: the merged event stream is
@@ -1617,7 +1596,7 @@ pub trait ShardStrategy: std::fmt::Debug + Send {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GridHash;
 
-fn grid_hash_shard(cell: (i64, i64), shards: usize) -> u32 {
+fn grid_hash_shard(cell: Cell, shards: usize) -> u32 {
     let mut state = (cell.0 as u64) ^ (cell.1 as u64).rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     state = rand::splitmix64(&mut state);
     u32::try_from(state % shards as u64).expect("shard index fits u32")
@@ -1631,7 +1610,7 @@ impl ShardStrategy for GridHash {
     fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
         topology
             .node_ids()
-            .map(|id| grid_hash_shard(strategy_cell_of(topology.position(id), cell_size), shards))
+            .map(|id| grid_hash_shard(cell_of(topology.position(id), cell_size), shards))
             .collect()
     }
 }
@@ -1650,9 +1629,9 @@ impl ShardStrategy for SpatialStripes {
     }
 
     fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
-        let mut order: Vec<((i64, i64), NodeId)> = topology
+        let mut order: Vec<(Cell, NodeId)> = topology
             .node_ids()
-            .map(|id| (strategy_cell_of(topology.position(id), cell_size), id))
+            .map(|id| (cell_of(topology.position(id), cell_size), id))
             .collect();
         order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
         let n = order.len().max(1);
@@ -1938,10 +1917,7 @@ impl<P: Protocol> ShardedSim<P> {
         if self.cores.len() == 1 {
             return 0;
         }
-        let cell = self.air.cell_of(position);
-        let mut state = (cell.0 as u64) ^ (cell.1 as u64).rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-        state = rand::splitmix64(&mut state);
-        usize::try_from(state % self.cores.len() as u64).expect("shard index fits usize")
+        grid_hash_shard(cell_of(position, self.air.cell_size), self.cores.len()) as usize
     }
 
     /// Adds a node at `position` using the builder's factory; its
@@ -2286,7 +2262,7 @@ impl<P: Protocol> ShardedSim<P> {
         // number and re-broadcast below so the new owner of every
         // receiver sees them. (The next barrier routes fresh ones by
         // the new interest sets.)
-        let mut pending_delivers: HashMap<u64, (SimTime, NodeId)> = HashMap::new();
+        let mut pending_delivers: FxHashMap<u64, (SimTime, NodeId)> = FxHashMap::default();
         for core in &mut self.cores {
             for node in core.nodes.drain(..) {
                 let index = node.id.index();
@@ -2380,7 +2356,7 @@ impl<P: Protocol> ShardedSim<P> {
         for index in 0..self.owner.len() {
             let node = NodeId(index as u32);
             let shard = self.owner[index].0 as usize;
-            let (cx, cy) = self.air.cell_of(self.master.position(node));
+            let (cx, cy) = cell_of(self.master.position(node), self.air.cell_size);
             for dx in -1..=1 {
                 for dy in -1..=1 {
                     *self.cores[shard]
@@ -2484,8 +2460,8 @@ fn apply_master_dynamics<P: Protocol>(
     t_end: SimTime,
     deadline: SimTime,
     interest_routing: bool,
-) -> Vec<(usize, (i64, i64))> {
-    let mut deferred: Vec<(usize, (i64, i64))> = Vec::new();
+) -> Vec<(usize, Cell)> {
+    let mut deferred: Vec<(usize, Cell)> = Vec::new();
     while let Some(next) = master_dyn.peek() {
         if next.at >= t_end || next.at > deadline {
             break;
@@ -2533,7 +2509,7 @@ fn backfill_gained_cell<P: Protocol>(
     core: &mut ShardCore<P>,
     air: &AirView,
     master: &Topology,
-    cell: (i64, i64),
+    cell: Cell,
     since: SimTime,
 ) {
     if let Some(seqs) = air.cells.get(&cell) {
@@ -2557,7 +2533,7 @@ fn route_mover_records<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
     air: &AirView,
     node: NodeId,
-    new_cell: (i64, i64),
+    new_cell: Cell,
     since: SimTime,
 ) {
     let Some(seqs) = air.by_node.get(node.index()) else {
@@ -2606,7 +2582,7 @@ fn ghost_route<P: Protocol>(core: &mut ShardCore<P>, air: &AirView, seq: u64, si
 /// conservative union.
 fn apply_interest_decrements<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
-    deferred: &[(usize, (i64, i64))],
+    deferred: &[(usize, Cell)],
 ) {
     for &(shard, cell) in deferred {
         match cores[shard].interest.get_mut(&cell) {
@@ -2729,7 +2705,7 @@ fn assign_and_broadcast<P: Protocol>(
             o.tx_span_start(seq, p.start.as_micros());
         }
         if let Some(frame) = p.frame {
-            let cell = air.cell_of(p.pos);
+            let cell = cell_of(p.pos, air.cell_size);
             air.insert(AirRecord {
                 seq,
                 sender: p.node,
@@ -3127,7 +3103,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 *windows_executed += 1;
                 // Window-start master dynamics: the locks are taken only
                 // when an entry actually falls inside this window.
-                let mut deferred: Vec<(usize, (i64, i64))> = Vec::new();
+                let mut deferred: Vec<(usize, Cell)> = Vec::new();
                 if master_dyn
                     .peek()
                     .is_some_and(|d| d.at < t_end && d.at <= deadline)
@@ -3877,7 +3853,7 @@ mod tests {
 
     #[test]
     fn node_streams_are_distinct_per_label_and_node() {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         for label in [
             "netsim.shard.mac",
             "netsim.shard.proto",

@@ -7,7 +7,7 @@
 //! `(seed, configuration, schedule of calls)`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +17,7 @@ use retri_obs::Obs;
 use crate::energy::EnergyMeter;
 use crate::fault::{fault_stream_seed, ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
+use crate::grid::FxHashSet;
 use crate::mac::{DfaConfig, DfaStats, MacConfig};
 use crate::medium::{DeliveryFailure, Medium, Verdict};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
@@ -230,7 +231,7 @@ impl SimBuilder {
             heap: BinaryHeap::new(),
             event_seq: 0,
             next_timer_handle: 0,
-            cancelled: HashSet::new(),
+            cancelled: FxHashSet::default(),
             stats: MediumStats::default(),
             dfa_stats: DfaStats::default(),
             commands: Vec::new(),
@@ -262,7 +263,7 @@ pub struct Simulator<P> {
     heap: BinaryHeap<Event>,
     event_seq: u64,
     next_timer_handle: u64,
-    cancelled: HashSet<TimerHandle>,
+    cancelled: FxHashSet<TimerHandle>,
     stats: MediumStats,
     dfa_stats: DfaStats,
     commands: Vec<Command>,

@@ -29,15 +29,11 @@
 //! still in range, matching [`Position::distance_to`]` <= range`.
 
 use core::fmt;
-use std::collections::HashMap;
 
+use crate::grid::{self, FxHashMap};
 use crate::node::NodeId;
 
-/// A spatial cell key: `floor(coordinate / range)` per axis. The pitch
-/// equals the radio range, so in-range pairs are never more than one
-/// cell apart on either axis. This is the same grid the sharded
-/// engine's air index and interest sets use.
-pub type Cell = (i64, i64);
+pub use crate::grid::Cell;
 
 /// A node position in meters on a 2-D plane.
 ///
@@ -130,7 +126,7 @@ pub struct Topology {
     /// position. Bucket order is arbitrary — dynamics sort the scanned
     /// candidates before installing them, so query results never depend
     /// on it.
-    cells: HashMap<Cell, Vec<NodeId>>,
+    cells: FxHashMap<Cell, Vec<NodeId>>,
 }
 
 impl Topology {
@@ -149,7 +145,7 @@ impl Topology {
             range,
             range_sq: range * range,
             sites: Vec::new(),
-            cells: HashMap::new(),
+            cells: FxHashMap::default(),
         }
     }
 
@@ -175,10 +171,7 @@ impl Topology {
     /// grid.
     #[must_use]
     pub fn cell_of(&self, position: Position) -> Cell {
-        (
-            (position.x / self.range).floor() as i64,
-            (position.y / self.range).floor() as i64,
-        )
+        grid::cell_of(position, self.range)
     }
 
     /// The cell currently containing `node`.

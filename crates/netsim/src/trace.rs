@@ -18,10 +18,11 @@
 //! Tracing is off by default (zero cost); enable it with
 //! [`crate::sim::Simulator::enable_trace`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use retri_obs::{CounterId, Registry, Snapshot};
 
+use crate::grid::FxHashMap;
 use crate::medium::DeliveryFailure;
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -179,12 +180,12 @@ pub struct Tracer {
     /// Total events ever recorded; the ordinal of the next event.
     recorded: u64,
     registry: Registry,
-    delivered: HashMap<(NodeId, NodeId), CounterId>,
-    delivered_evicted: HashMap<(NodeId, NodeId), CounterId>,
-    losses: HashMap<NodeId, CounterId>,
-    losses_evicted: HashMap<NodeId, CounterId>,
+    delivered: FxHashMap<(NodeId, NodeId), CounterId>,
+    delivered_evicted: FxHashMap<(NodeId, NodeId), CounterId>,
+    losses: FxHashMap<NodeId, CounterId>,
+    losses_evicted: FxHashMap<NodeId, CounterId>,
     /// Ordinals of retained `Lost` events, per receiver, oldest first.
-    loss_ordinals: HashMap<NodeId, VecDeque<u64>>,
+    loss_ordinals: FxHashMap<NodeId, VecDeque<u64>>,
 }
 
 impl Tracer {
@@ -202,11 +203,11 @@ impl Tracer {
             dropped: 0,
             recorded: 0,
             registry: Registry::new(),
-            delivered: HashMap::new(),
-            delivered_evicted: HashMap::new(),
-            losses: HashMap::new(),
-            losses_evicted: HashMap::new(),
-            loss_ordinals: HashMap::new(),
+            delivered: FxHashMap::default(),
+            delivered_evicted: FxHashMap::default(),
+            losses: FxHashMap::default(),
+            losses_evicted: FxHashMap::default(),
+            loss_ordinals: FxHashMap::default(),
         }
     }
 

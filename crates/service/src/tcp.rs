@@ -15,7 +15,13 @@
 //! that connection; the listener and shard loops outlive every client.
 //! Connections are polled with a short read timeout so an idle or
 //! half-dead peer is dropped after [`IDLE_TIMEOUT`] and shutdown is
-//! never blocked on a silent socket.
+//! never blocked on a silent socket. The accept loop survives its own
+//! failures: a connection whose thread cannot be spawned is closed and
+//! the loop keeps accepting, and a failing `accept` (e.g. out of file
+//! descriptors) is retried after [`ACCEPT_BACKOFF`] instead of in a
+//! busy loop. Each accept also reaps the threads of connections that
+//! have ended, so the registry stays as large as the set of live
+//! connections, not the daemon's lifetime connection count.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,6 +42,10 @@ pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Poll granularity for connection reads; bounds both shutdown latency
 /// and idle-timeout resolution.
 const POLL_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Pause before retrying a failed `accept`. A persistent error such
+/// as `EMFILE` would otherwise spin the accept thread at full CPU.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// One queued request: the decoded frame plus the reply path back to
 /// the connection thread that forwarded it.
@@ -73,7 +83,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
+        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
 
         let shards = build_shards(config);
         let busy: Vec<Arc<AtomicU64>> = shards.iter().map(|s| s.busy_counter()).collect();
@@ -113,17 +123,22 @@ impl Server {
                             let stop = Arc::clone(&stop);
                             let shard_txs = shard_txs.clone();
                             let busy = busy.clone();
-                            let handle = std::thread::Builder::new()
+                            let spawned = std::thread::Builder::new()
                                 .name("retrid-conn".to_string())
-                                .spawn(move || serve_connection(stream, &shard_txs, &busy, &stop))
-                                .expect("spawn connection thread");
-                            conn_threads
-                                .lock()
-                                .expect("connection registry poisoned")
-                                .push(handle);
+                                .spawn(move || serve_connection(stream, &shard_txs, &busy, &stop));
+                            let mut conns =
+                                conn_threads.lock().expect("connection registry poisoned");
+                            for finished in conns.extract_if(.., |handle| handle.is_finished()) {
+                                let _ = finished.join();
+                            }
+                            // Out of threads: the failed spawn dropped its
+                            // closure, which closes only this connection.
+                            if let Ok(handle) = spawned {
+                                conns.push(handle);
+                            }
                         }
                         Err(_) if stop.load(Ordering::SeqCst) => return,
-                        Err(_) => continue,
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                     }
                 })
                 .expect("spawn accept thread")
@@ -143,6 +158,20 @@ impl Server {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connection threads the server tracks: every open connection,
+    /// plus any that closed since the last accept reaped the registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the accept thread panicked while holding the registry.
+    #[must_use]
+    pub fn live_connections(&self) -> usize {
+        self.conn_threads
+            .lock()
+            .expect("connection registry poisoned")
+            .len()
     }
 
     /// Graceful shutdown: stop accepting, let every connection thread

@@ -223,3 +223,18 @@ fn bad_shard_and_bad_count_get_structured_errors() {
     assert_server_serves(server.addr());
     server.shutdown();
 }
+
+#[test]
+fn finished_connection_threads_are_reaped_on_accept() {
+    let server = Server::start(&small_config(9), "127.0.0.1:0").expect("bind");
+    for _ in 0..300 {
+        let mut client = TcpClient::connect(server.addr()).expect("connect");
+        assert_eq!(client.request(&Request::Ping).expect("ping"), Reply::Pong);
+    }
+    // Each accept reaps every thread whose client already hung up, so
+    // only the last few connections can still be tracked; without
+    // reaping the registry would hold all 300.
+    let tracked = server.live_connections();
+    assert!(tracked <= 16, "{tracked} connection threads still tracked");
+    assert_server_serves(server.addr());
+}

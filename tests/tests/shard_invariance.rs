@@ -8,6 +8,12 @@
 //! provenance JSON the experiment binaries emit (which must also still
 //! match the committed golden capture when run on four shards).
 //!
+//! Invariance alone cannot catch a change that shifts every shard count
+//! the same way, and the golden capture covers static AFF testbeds only.
+//! So two raw-engine scenarios — the churning faulty grid, and an ALOHA
+//! grid whose nodes move across grid cells — are also pinned to a fixed
+//! digest of their trace stream and counters.
+//!
 //! The provenance test mutates the process-global default shard count
 //! (`retri_aff::set_default_shards`), so everything that touches the
 //! global lives in one `#[test]` function; the other tests set the
@@ -30,6 +36,22 @@ impl Protocol for Chatterbox {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
         let _ = ctx.send(FramePayload::from_bytes(vec![0xEE; 10]).expect("non-empty"));
         ctx.set_timer(SimDuration::from_millis(7), 0);
+    }
+}
+
+/// Unsaturated ALOHA beacon: one frame every 37 ms at a per-node phase,
+/// so receivers hear most frames and some still collide.
+struct Beacon;
+
+impl Protocol for Beacon {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let phase = 1 + 613 * u64::from(ctx.node_id().0);
+        ctx.set_timer(SimDuration::from_micros(phase), 0);
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
+        let _ = ctx.send(FramePayload::from_bytes(vec![0xB5; 6]).expect("non-empty"));
+        ctx.set_timer(SimDuration::from_millis(37), 0);
     }
 }
 
@@ -81,6 +103,92 @@ fn trace_stream_is_identical_across_shard_counts() {
         assert_eq!(
             events, baseline_events,
             "trace stream diverged at {shards} shards"
+        );
+    }
+}
+
+/// FNV-1a over the debug rendering of a run's trace stream and
+/// counters: a digest that moves if any event or count does.
+fn run_digest(events: &[TraceEvent], stats: &MediumStats) -> u64 {
+    let text = format!("{events:?}{stats:?}");
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pinned digest of [`traced_run`], equal at every shard count.
+const TRACED_RUN_DIGEST: u64 = 0x4acf_0134_aef2_7f7e;
+
+#[test]
+fn traced_run_matches_its_pinned_digest() {
+    for shards in [1, 4] {
+        let (events, stats) = traced_run(shards);
+        assert_eq!(
+            run_digest(&events, &stats),
+            TRACED_RUN_DIGEST,
+            "traced run drifted from its pinned digest at {shards} shards"
+        );
+    }
+}
+
+/// Runs an 8x8 ALOHA beacon grid (30 m pitch, 45 m range, so grid
+/// cells hold a few nodes each) in which nodes jump across grid cells
+/// mid-run, some into other shards' territory while frames are in
+/// flight. On several shards the moves exercise interest backfill and
+/// mover-record routing; the run is split so the later segments also
+/// rebalance ownership with deliveries pending.
+fn moving_grid_run(shards: usize) -> (Vec<TraceEvent>, MediumStats) {
+    let mut sim = ShardedSimBuilder::new(0xC0FFEE)
+        .mac(MacConfig::aloha())
+        .range(45.0)
+        .shards(shards)
+        .build_with_topology(&Topology::grid(8, 8, 30.0, 45.0), |_| Beacon);
+    for (i, node) in [0_u32, 9, 18, 27, 36, 45, 54, 63].into_iter().enumerate() {
+        let i = i as u32;
+        let to = Position::new(
+            f64::from((7 - i) * 30) + 7.5,
+            f64::from((i * 3 % 8) * 30) + 12.5,
+        );
+        sim.schedule_move(
+            SimTime::from_micros(150_000 + 61_037 * u64::from(i)),
+            NodeId(node),
+            to,
+        );
+    }
+    sim.schedule_move(
+        SimTime::from_millis(700),
+        NodeId(5),
+        Position::new(-50.0, 100.0),
+    );
+    sim.enable_trace(1 << 17);
+    for stop in [300, 650, 1_200] {
+        sim.run_until(SimTime::from_millis(stop));
+    }
+    let tracer = sim.tracer().expect("trace enabled");
+    assert_eq!(tracer.dropped(), 0, "trace ring must not wrap");
+    (tracer.events().copied().collect(), sim.stats())
+}
+
+/// Pinned digest of [`moving_grid_run`], equal at every shard count.
+const MOVING_GRID_DIGEST: u64 = 0x3ca3_bae5_0f52_7225;
+
+#[test]
+fn moving_grid_matches_its_pinned_digest() {
+    for shards in [1, 4] {
+        let (events, stats) = moving_grid_run(shards);
+        let moves = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Moved { .. }))
+            .count();
+        assert_eq!(moves, 9, "every scheduled move must execute");
+        assert!(
+            stats.deliveries > 0 && stats.rf_collisions > 0,
+            "scenario must deliver and collide: {stats:?}"
+        );
+        assert_eq!(
+            run_digest(&events, &stats),
+            MOVING_GRID_DIGEST,
+            "moving grid drifted from its pinned digest at {shards} shards"
         );
     }
 }
