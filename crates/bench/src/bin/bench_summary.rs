@@ -138,6 +138,15 @@ fn migrate_workload(workload: &Value) -> Value {
     Value::Object(fields)
 }
 
+/// Resets this process's peak resident set (`VmHWM`) to its current
+/// resident set through `/proc/self/clear_refs`. False where that is
+/// refused or unavailable (and whenever `peak_rss_bytes` is compiled
+/// out).
+fn reset_peak_rss() -> bool {
+    cfg!(all(feature = "mem-probe", target_os = "linux"))
+        && std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
 /// Runs every workload once per worker mode: serial first, then the
 /// machine's default parallelism.
 fn run_suite(args: &Args) -> Value {
@@ -150,12 +159,12 @@ fn run_suite(args: &Args) -> Value {
     let mut serial: Vec<Measurement> = Vec::with_capacity(set.len());
     let mut peak_after: Vec<Option<u64>> = Vec::with_capacity(set.len());
     for w in &set {
+        // VmHWM is a process-lifetime high-water mark: reset it to the
+        // current footprint first, or a workload inherits the peak of
+        // whatever ran before it. No reset, no reading.
+        let reset = w.nodes.is_some() && reset_peak_rss();
         serial.push(workloads::measure(w, args.quick, args.reps));
-        // Sampled right after the workload finishes: VmHWM is a
-        // process-lifetime high-water mark, so this is exact for the
-        // scale workloads, whose footprint dwarfs everything that ran
-        // before them (see `peak_rss_bytes`).
-        peak_after.push(w.nodes.and_then(|_| peak_rss_bytes()));
+        peak_after.push(if reset { peak_rss_bytes() } else { None });
     }
 
     eprintln!("[bench_summary] parallel pass (default workers)");

@@ -212,12 +212,12 @@ pub fn resolve_worker_count(requested: Option<&str>, jobs: usize) -> usize {
 /// is unavailable — off Linux, without the `mem-probe` feature, or if
 /// procfs cannot be read.
 ///
-/// The value is a process-lifetime *high-water* mark: sampled after a
-/// workload it bounds that workload's footprint from above, and for
-/// the scale workloads (whose footprint dwarfs everything that ran
-/// before them) it is an accurate per-workload reading. `bench_summary`
-/// divides it by the simulated node count to record the bytes-per-node
-/// column of the 100k/1M mesh workloads.
+/// The value is a *high-water* mark since process start or the last
+/// write of `5` to `/proc/self/clear_refs`. `bench_summary` resets it
+/// before each node-count workload, so the reading after the workload
+/// covers that workload alone (on top of the footprint it started
+/// from), and divides it by the simulated node count to record the
+/// bytes-per-node column.
 #[must_use]
 pub fn peak_rss_bytes() -> Option<u64> {
     #[cfg(all(feature = "mem-probe", target_os = "linux"))]

@@ -59,7 +59,7 @@ use retri_service::{
     run_load, LoadPlan, LoadReport, Server, ServiceConfig, ServiceHandle, TcpClient,
 };
 
-use crate::harness::run_trials;
+use crate::harness::{run_trials, trial_seed};
 
 /// One named workload: a deterministic trial body plus its batch shape.
 pub struct Workload {
@@ -201,9 +201,14 @@ pub fn all() -> Vec<Workload> {
 /// Runs one workload's batch `reps` times under the current
 /// `RETRI_BENCH_WORKERS` setting and returns the per-rep wall-clocks
 /// with their median.
+///
+/// The workload body runs once, untimed, before the timed reps, so
+/// lazily built shared state (the cached 10k/100k/1M mesh topologies)
+/// is not charged to rep 1.
 #[must_use]
 pub fn measure(workload: &Workload, quick: bool, reps: usize) -> Measurement {
     assert!(reps >= 1, "at least one repetition required");
+    (workload.run)(trial_seed(workload.name, 0, 0), quick);
     let mut samples_ns: Vec<u64> = Vec::with_capacity(reps);
     for _ in 0..reps {
         let started = Instant::now();
@@ -888,6 +893,39 @@ mod tests {
             assert!(!w.description.is_empty());
             assert!(w.trials >= 1);
         }
+    }
+
+    static PROBE_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    /// Slow on its first call only, like a workload whose first run
+    /// builds a cached topology.
+    fn lazy_probe(_seed: u64, _quick: bool) {
+        if PROBE_CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    }
+
+    #[test]
+    fn measure_warms_up_untimed_before_the_timed_reps() {
+        let probe = Workload {
+            name: "lazy_probe",
+            description: "first call slow",
+            trials: 2,
+            nodes: None,
+            sharded: false,
+            run: lazy_probe,
+        };
+        let m = measure(&probe, true, 3);
+        assert_eq!(
+            PROBE_CALLS.load(std::sync::atomic::Ordering::SeqCst),
+            1 + 3 * 2
+        );
+        assert_eq!(m.samples_ns.len(), 3);
+        assert!(
+            m.samples_ns.iter().all(|&ns| ns < 300_000_000),
+            "the slow first call landed in a timed rep: {:?}",
+            m.samples_ns
+        );
     }
 
     #[test]

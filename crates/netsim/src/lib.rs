@@ -84,9 +84,7 @@ pub mod prelude {
     pub use crate::mac::{DfaStats, FrameSizing, MacConfig, MacMode};
     pub use crate::node::{Context, NodeId, Protocol, Timer};
     pub use crate::radio::RadioConfig;
-    pub use crate::shard::{
-        DegreeBalanced, GridHash, ShardStrategy, ShardedSim, ShardedSimBuilder, SpatialStripes,
-    };
+    pub use crate::shard::{ShardedSim, ShardedSimBuilder};
     pub use crate::sim::{MediumStats, SimBuilder, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Position, Topology};
@@ -98,10 +96,7 @@ pub use frame::{Frame, FramePayload};
 pub use mac::{DfaConfig, DfaStats, FrameSizing, MacConfig, MacMode};
 pub use node::{Context, NodeId, Protocol, Timer};
 pub use radio::RadioConfig;
-pub use shard::{
-    DegreeBalanced, GridHash, ShardStrategy, ShardedSim, ShardedSimBuilder, SpatialStripes,
-    MIN_NODES_PER_SHARD,
-};
+pub use shard::{ShardedSim, ShardedSimBuilder, MIN_NODES_PER_SHARD};
 pub use sim::{SimBuilder, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::Position;

@@ -19,17 +19,17 @@
 //! # Indexing and bounded scans
 //!
 //! Sequence numbers are dense, so records live in a [`VecDeque`] offset
-//! by `base_seq`: [`Medium::record`] and [`Medium::end_tx`] are O(1)
+//! by `base_seq`: `Medium::record` and `Medium::end_tx` are O(1)
 //! and pruning pops only from the front (records are pushed in start
 //! order, so everything older than the horizon is contiguous at the
 //! front). Every query walks records **newest-first** and stops early:
 //!
-//! - [`Medium::busy_for`] visits only *active* (not yet ended)
+//! - `Medium::busy_for` visits only *active* (not yet ended)
 //!   transmissions, counted per the `active` total — an interval
 //!   containing `now` cannot have ended, because its `TxEnd` event
 //!   would already have been dispatched.
-//! - The collision scans ([`Medium::transmitting_during`],
-//!   [`Medium::interference_at`]) stop once `record.start` is more than
+//! - The collision scans (`Medium::transmitting_during`,
+//!   `Medium::interference_at`) stop once `record.start` is more than
 //!   one maximum-observed airtime before the queried interval: starts
 //!   are non-decreasing toward the front and no retained record lasts
 //!   longer than `max_airtime`, so nothing earlier can overlap.

@@ -47,7 +47,7 @@
 //!
 //! # Interference bookkeeping
 //!
-//! One global [`AirView`] replaces the serial `Medium`: a dense record
+//! One global `AirView` replaces the serial `Medium`: a dense record
 //! deque plus per-grid-cell and per-node sequence indexes (cell size =
 //! radio range, so a 3×3 cell scan covers every in-range interferer).
 //! It is only mutated by the merging thread (and by the globally ordered
@@ -132,6 +132,11 @@ const LANE_R_FEEDBACK: u8 = 4;
 /// a few dozen nodes sharded four ways — otherwise spend orders of
 /// magnitude more time in barrier waits than in simulation.
 pub const MIN_NODES_PER_SHARD: usize = 64;
+
+/// The conservative lookahead `L`: the MAC turnaround delay between a
+/// protocol send and its MAC enqueue, and so the window length. Part of
+/// the model — it decides (deterministically) when frames hit the air.
+const LOOKAHEAD: SimDuration = SimDuration::from_micros(500);
 
 /// A scheduled liveness or movement change (broadcast to every shard).
 #[derive(Debug, Clone, Copy)]
@@ -820,7 +825,6 @@ struct EngineCtx<'a> {
     radio: &'a RadioConfig,
     mac: &'a MacConfig,
     faults: &'a FaultModel,
-    lookahead: SimDuration,
     tracing: bool,
     deadline: SimTime,
     owner: &'a [(u32, u32)],
@@ -1260,8 +1264,8 @@ impl<P: Protocol> ShardCore<P> {
     /// requeued, and either way the sender re-contends at its frame
     /// boundary — pushed past the current window so the retry never
     /// lands behind this window's already-run MAC phase (the boundary
-    /// `window_end(at, lookahead)` depends only on the lookahead, so
-    /// the deferral is shard-count invariant).
+    /// `window_end(at)` depends only on the lookahead, so the deferral
+    /// is shard-count invariant).
     fn dfa_feedback<A: AirReads>(
         &mut self,
         at: SimTime,
@@ -1291,7 +1295,7 @@ impl<P: Protocol> ShardCore<P> {
             self.dfa.successes += 1;
         }
         let frame_end = self.nodes[local].dfa_frame_end;
-        let retry = frame_end.max(window_end(at, ctx.lookahead));
+        let retry = frame_end.max(window_end(at));
         self.push_mac(
             retry,
             LANE_M_TRY,
@@ -1541,7 +1545,7 @@ impl<P: Protocol> ShardCore<P> {
                         let node_local = ctx.local(self.index, node);
                         // One MAC turnaround after the callback — the
                         // lookahead bound that makes windows independent.
-                        let enqueue_at = at + ctx.lookahead;
+                        let enqueue_at = at + LOOKAHEAD;
                         self.push_mac(
                             enqueue_at,
                             LANE_M_ENQ,
@@ -1571,120 +1575,30 @@ impl<P: Protocol> ShardCore<P> {
     }
 }
 
-/// A policy assigning every node to one of `K` shard cores.
-///
-/// Placement is pure load balancing: the merged event stream is
-/// invariant in it (the shard-count invariance tests pin this), so a
-/// strategy is free to optimize for locality or balance without
-/// touching correctness. The engine re-runs the strategy at the start
-/// of a run whenever nodes were added or dynamics changed the
-/// topology.
-pub trait ShardStrategy: std::fmt::Debug + Send {
-    /// A short stable name (for logs and bench metadata).
-    fn name(&self) -> &'static str;
-
-    /// Maps each node (indexed by id) to a shard in `0..shards`.
-    /// `cell_size` is the interference-grid pitch (= radio range).
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32>;
-}
-
-/// Hash the node's grid cell with SplitMix64 — the original placement.
-/// Stateless and incremental (a node's shard never depends on the other
-/// nodes), but adjacent cells usually land on different shards, so most
-/// radio neighborhoods straddle a shard boundary and nearly every
-/// record must be replicated to several ghosts.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GridHash;
-
-fn grid_hash_shard(cell: Cell, shards: usize) -> u32 {
-    let mut state = (cell.0 as u64) ^ (cell.1 as u64).rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    state = rand::splitmix64(&mut state);
-    u32::try_from(state % shards as u64).expect("shard index fits u32")
-}
-
-impl ShardStrategy for GridHash {
-    fn name(&self) -> &'static str {
-        "grid-hash"
+/// Node-to-shard placement: sort nodes by grid cell (column-major, node
+/// id as tiebreak) and cut the order into `K` equal contiguous stripes.
+/// Neighboring cells share a stripe except at the K − 1 cut lines, so
+/// cross-shard deliveries — and ghost replication — concentrate on thin
+/// boundaries. Placement is pure load balancing: the merged event stream
+/// is invariant in it (the shard-count invariance tests pin this).
+fn stripe_placement(topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
+    let mut order: Vec<(Cell, NodeId)> = topology
+        .node_ids()
+        .map(|id| (cell_of(topology.position(id), cell_size), id))
+        .collect();
+    order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
+    let n = order.len().max(1);
+    let mut out = vec![0u32; order.len()];
+    for (rank, (_, id)) in order.into_iter().enumerate() {
+        out[id.index()] = u32::try_from(rank * shards / n).expect("shard index fits u32");
     }
-
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
-        topology
-            .node_ids()
-            .map(|id| grid_hash_shard(cell_of(topology.position(id), cell_size), shards))
-            .collect()
-    }
-}
-
-/// Sort nodes by grid cell (column-major, node id as tiebreak) and cut
-/// the order into `K` equal contiguous stripes. Neighboring cells share
-/// a stripe except at the K − 1 cut lines, so cross-shard deliveries —
-/// and ghost replication — concentrate on thin boundaries instead of
-/// being scattered everywhere. The default strategy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SpatialStripes;
-
-impl ShardStrategy for SpatialStripes {
-    fn name(&self) -> &'static str {
-        "spatial-stripes"
-    }
-
-    fn assign(&self, topology: &Topology, cell_size: f64, shards: usize) -> Vec<u32> {
-        let mut order: Vec<(Cell, NodeId)> = topology
-            .node_ids()
-            .map(|id| (cell_of(topology.position(id), cell_size), id))
-            .collect();
-        order.sort_unstable_by_key(|&(cell, id)| (cell, id.0));
-        let n = order.len().max(1);
-        let mut out = vec![0u32; order.len()];
-        for (rank, (_, id)) in order.into_iter().enumerate() {
-            out[id.index()] = u32::try_from(rank * shards / n).expect("shard index fits u32");
-        }
-        out
-    }
-}
-
-/// Greedy bin packing by radio degree: nodes in descending degree
-/// order (id as tiebreak), each to the shard with the smallest degree
-/// sum so far. Evens out very uneven densities at the cost of ignoring
-/// locality entirely — best when a few hotspot cells dominate the
-/// receive-phase work.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DegreeBalanced;
-
-impl ShardStrategy for DegreeBalanced {
-    fn name(&self) -> &'static str {
-        "degree-balanced"
-    }
-
-    fn assign(&self, topology: &Topology, _cell_size: f64, shards: usize) -> Vec<u32> {
-        let mut order: Vec<(usize, NodeId)> = topology
-            .node_ids()
-            .map(|id| (topology.neighbors(id).count(), id))
-            .collect();
-        order.sort_unstable_by_key(|&(degree, id)| (Reverse(degree), id.0));
-        let mut load = vec![0usize; shards];
-        let mut out = vec![0u32; order.len()];
-        for (degree, id) in order {
-            let mut best = 0;
-            for (shard, &l) in load.iter().enumerate().skip(1) {
-                if l < load[best] {
-                    best = shard;
-                }
-            }
-            out[id.index()] = u32::try_from(best).expect("shard index fits u32");
-            // A degree-0 node still costs its MAC events: weight 1.
-            load[best] += degree.max(1);
-        }
-        out
-    }
+    out
 }
 
 /// Configures and constructs a [`ShardedSim`].
 ///
-/// Mirrors [`crate::sim::SimBuilder`], plus the sharding knobs:
-/// [`shards`](Self::shards), [`lookahead`](Self::lookahead) (the MAC
-/// turnaround delay that bounds the synchronization window), and
-/// [`strategy`](Self::strategy) (node-to-shard placement).
+/// Mirrors [`crate::sim::SimBuilder`], plus the shard count
+/// ([`shards`](Self::shards)).
 #[derive(Debug)]
 pub struct ShardedSimBuilder {
     seed: u64,
@@ -1693,8 +1607,6 @@ pub struct ShardedSimBuilder {
     range: f64,
     faults: FaultModel,
     shards: usize,
-    lookahead: SimDuration,
-    strategy: Box<dyn ShardStrategy>,
 }
 
 impl ShardedSimBuilder {
@@ -1709,8 +1621,6 @@ impl ShardedSimBuilder {
             range: 100.0,
             faults: FaultModel::none(),
             shards: 1,
-            lookahead: SimDuration::from_micros(500),
-            strategy: Box::new(SpatialStripes),
         }
     }
 
@@ -1756,30 +1666,6 @@ impl ShardedSimBuilder {
         self
     }
 
-    /// Sets the node-to-shard placement strategy (default:
-    /// [`SpatialStripes`]). Placement only affects load balance and
-    /// ghost-replication volume, never output.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Box<dyn ShardStrategy>) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the MAC turnaround delay (the conservative lookahead `L`).
-    /// Larger values mean fewer barrier epochs but more latency between
-    /// a protocol send and its MAC enqueue. Part of the model: changing
-    /// it changes (deterministically) when frames hit the air.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero.
-    #[must_use]
-    pub fn lookahead(mut self, lookahead: SimDuration) -> Self {
-        assert!(lookahead.as_micros() > 0, "lookahead must be positive");
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Builds the simulator; `factory` creates the protocol instance
     /// for each node added later.
     pub fn build<P, F>(self, factory: F) -> ShardedSim<P>
@@ -1797,7 +1683,6 @@ impl ShardedSimBuilder {
             radio: self.radio,
             mac: self.mac,
             faults: self.faults,
-            lookahead: self.lookahead,
             master: Topology::new(self.range),
             cores,
             owner: Vec::new(),
@@ -1811,9 +1696,7 @@ impl ShardedSimBuilder {
             obs: None,
             trace_main: Vec::new(),
             merge_scratch: Vec::new(),
-            force_serial: false,
             force_threads: false,
-            strategy: self.strategy,
             placement_dirty: false,
             interest_valid: false,
             ghosts_valid: false,
@@ -1861,7 +1744,6 @@ pub struct ShardedSim<P> {
     radio: RadioConfig,
     mac: MacConfig,
     faults: FaultModel,
-    lookahead: SimDuration,
     /// Authoritative topology for the public accessor and shard
     /// rebalancing; dynamics are applied to it at epoch barriers.
     master: Topology,
@@ -1880,9 +1762,7 @@ pub struct ShardedSim<P> {
     obs: Option<NetsimObs>,
     trace_main: Vec<(TraceKey, TraceEvent)>,
     merge_scratch: Vec<PendingTx>,
-    force_serial: bool,
     force_threads: bool,
-    strategy: Box<dyn ShardStrategy>,
     /// Whether node placement may be stale (nodes added or dynamics
     /// applied since the last rebalance).
     placement_dirty: bool,
@@ -1911,15 +1791,6 @@ impl<P> core::fmt::Debug for ShardedSim<P> {
 }
 
 impl<P: Protocol> ShardedSim<P> {
-    /// The grid cell owning shard for a position. Placement only
-    /// affects load balance, never output.
-    fn shard_of(&self, position: Position) -> usize {
-        if self.cores.len() == 1 {
-            return 0;
-        }
-        grid_hash_shard(cell_of(position, self.air.cell_size), self.cores.len()) as usize
-    }
-
     /// Adds a node at `position` using the builder's factory; its
     /// `on_start` runs at the current time.
     pub fn add_node_at(&mut self, position: Position) -> NodeId {
@@ -1942,20 +1813,21 @@ impl<P: Protocol> ShardedSim<P> {
         self.admit(id, protocol)
     }
 
-    /// Registers an already-present topology node with the engine.
+    /// Registers an already-present topology node with the engine. It
+    /// joins shard 0; the rebalance at the start of the next run places
+    /// it.
     fn admit(&mut self, id: NodeId, protocol: P) -> NodeId {
         debug_assert_eq!(id.index(), self.owner.len());
         self.placement_dirty = true;
         self.interest_valid = false;
-        let shard = self.shard_of(self.master.position(id));
-        let local = self.cores[shard].nodes.len() as u32;
-        self.owner.push((shard as u32, local));
+        let local = self.cores[0].nodes.len() as u32;
+        self.owner.push((0, local));
         self.air.add_node();
-        self.cores[shard]
+        self.cores[0]
             .nodes
             .push(LocalNode::new(self.seed, id, protocol));
         let at = self.now;
-        self.cores[shard].rx_heap.push(RxEvent {
+        self.cores[0].rx_heap.push(RxEvent {
             at,
             lane: LANE_R_START,
             a: u64::from(id.0),
@@ -2029,12 +1901,6 @@ impl<P: Protocol> ShardedSim<P> {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The conservative lookahead (MAC turnaround delay).
-    #[must_use]
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// How many `[T, T+L)` windows the engine actually executed. A
@@ -2193,31 +2059,23 @@ impl<P: Protocol> ShardedSim<P> {
         self.obs = obs.is_enabled().then(|| NetsimObs::new(obs));
     }
 
-    /// Forces the single-threaded window loop even for `shards > 1`.
-    /// The windowed algorithm is identical either way — this is a
-    /// validation/debugging knob (and what `enable_obs` implies).
-    pub fn set_force_serial(&mut self, force: bool) {
-        self.force_serial = force;
-    }
-
     /// Forces worker threads for `shards > 1` even when the engine's
     /// cost model (machine parallelism, per-shard node count) would run
     /// the windows inline. A validation/debugging knob; output is
-    /// identical either way. [`Self::set_force_serial`] wins if both
-    /// are set.
+    /// identical either way; attached observability still wins.
     pub fn set_force_threads(&mut self, force: bool) {
         self.force_threads = force;
     }
 
     /// Whether the next [`Self::run_until`] would execute windows on
     /// worker threads. False for single-shard sims, attached
-    /// observability, forced-serial mode, single-core machines, or
-    /// topologies too small to amortize the per-window barrier traffic
-    /// (< [`MIN_NODES_PER_SHARD`] owned nodes per shard) — the windowed
-    /// algorithm then runs inline, with identical output.
+    /// observability, single-core machines, or topologies too small to
+    /// amortize the per-window barrier traffic (< [`MIN_NODES_PER_SHARD`]
+    /// owned nodes per shard) — the windowed algorithm then runs
+    /// inline, with identical output.
     #[must_use]
     pub fn uses_worker_threads(&self) -> bool {
-        if self.cores.len() <= 1 || self.obs.is_some() || self.force_serial {
+        if self.cores.len() <= 1 || self.obs.is_some() {
             return false;
         }
         if self.force_threads {
@@ -2227,7 +2085,7 @@ impl<P: Protocol> ShardedSim<P> {
             && self.owner.len() >= self.cores.len() * MIN_NODES_PER_SHARD
     }
 
-    /// Re-buckets node ownership via the placement strategy, moving
+    /// Re-buckets node ownership by [`stripe_placement`], moving
     /// node state and node-owned events between shards. Called at the
     /// start of every run (and skipped unless nodes were added or
     /// dynamics ran since the last rebalance) so churn-heavy workloads
@@ -2238,9 +2096,7 @@ impl<P: Protocol> ShardedSim<P> {
             return;
         }
         self.placement_dirty = false;
-        let desired: Vec<u32> =
-            self.strategy
-                .assign(&self.master, self.air.cell_size, self.cores.len());
+        let desired = stripe_placement(&self.master, self.air.cell_size, self.cores.len());
         debug_assert_eq!(desired.len(), self.owner.len());
         debug_assert!(desired.iter().all(|&s| (s as usize) < self.cores.len()));
         if desired
@@ -2263,23 +2119,24 @@ impl<P: Protocol> ShardedSim<P> {
         // receiver sees them. (The next barrier routes fresh ones by
         // the new interest sets.)
         let mut pending_delivers: FxHashMap<u64, (SimTime, NodeId)> = FxHashMap::default();
+        // The node vectors and heaps are taken, not drained: shard 0
+        // holds every node admitted since the last run, and a drained
+        // buffer would keep that capacity for the rest of the run.
         for core in &mut self.cores {
-            for node in core.nodes.drain(..) {
+            for node in std::mem::take(&mut core.nodes) {
                 let index = node.id.index();
                 slots[index] = Some(node);
             }
             // Node-owned events follow their node; dynamics already
             // exist once per shard and stay put.
-            let events: Vec<MacEvent> = core.mac_heap.drain().collect();
-            for ev in events {
+            for ev in std::mem::take(&mut core.mac_heap).into_vec() {
                 if ev.node().is_some() {
                     mac_orphans.push(ev);
                 } else {
                     core.mac_heap.push(ev);
                 }
             }
-            let events: Vec<RxEvent> = core.rx_heap.drain().collect();
-            for ev in events {
+            for ev in std::mem::take(&mut core.rx_heap).into_vec() {
                 if ev.node().is_some() {
                     rx_orphans.push(ev);
                 } else if let RxKind::Deliver { seq, sender } = ev.kind {
@@ -2408,34 +2265,15 @@ fn global_min<P: Protocol>(cores: &[&mut ShardCore<P>]) -> Option<SimTime> {
 /// timeline at multiples of the lookahead, so the window start (and
 /// therefore the whole window sequence) depends only on the global event
 /// set — never on the shard count.
-fn window_end(at: SimTime, lookahead: SimDuration) -> SimTime {
-    let l = lookahead.as_micros().max(1);
+fn window_end(at: SimTime) -> SimTime {
+    let l = LOOKAHEAD.as_micros();
     SimTime::from_micros((at.as_micros() / l + 1) * l)
-}
-
-/// How epoch-barrier products (delivery events, ghost records) fan out
-/// across shard cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FanOut {
-    /// Every core gets every delivery event and (when ghosts are on)
-    /// every air record. Only used for single-shard runs, where there
-    /// is nothing to filter.
-    Broadcast,
-    /// Only cores whose interest set contains the record's origin grid
-    /// cell. The cell size equals the radio range, so every receiver
-    /// and every interferable pair sits within one cell ring of its
-    /// counterpart, and a delivery event routed to a non-interested
-    /// core would be a no-op (it owns no neighbor of the sender).
-    /// Scheduled dynamics stay safe because every move patches the
-    /// owning shard's interest refcounts as it executes and backfills
-    /// the in-flight records of any cell the set gains — see
-    /// [`apply_master_dynamics`].
-    Interest,
 }
 
 /// Applies master-topology dynamics scheduled inside the window
 /// (`at < t_end`) at the window's *start*, delta-routing their
-/// consequences when interest routing is on:
+/// consequences on multi-shard runs (a single shard has no interest set
+/// to maintain):
 ///
 /// - a move patches the owning shard's ±1-ring interest refcounts —
 ///   the new ring's increments land immediately (cells going 0→1 get a
@@ -2459,8 +2297,8 @@ fn apply_master_dynamics<P: Protocol>(
     owner: &[(u32, u32)],
     t_end: SimTime,
     deadline: SimTime,
-    interest_routing: bool,
 ) -> Vec<(usize, Cell)> {
+    let interest_routing = cores.len() > 1;
     let mut deferred: Vec<(usize, Cell)> = Vec::new();
     while let Some(next) = master_dyn.peek() {
         if next.at >= t_end || next.at > deadline {
@@ -2642,8 +2480,17 @@ fn run_phase1_csma<P: Protocol>(
 /// The epoch barrier ("barrier A"): merge per-shard outboxes in
 /// canonical order, assign global sequence numbers, record stats,
 /// traces, and metrics, publish air records, and route delivery events
-/// (and, on threaded runs, ghost records) to the shards that can
-/// possibly need them.
+/// and ghost records to the shards that can possibly need them.
+///
+/// A single shard gets every delivery event and keeps no ghost. With
+/// several, only cores whose interest set contains the record's origin
+/// grid cell get it. The cell size equals the radio range, so every
+/// receiver and every interferable pair sits within one cell ring of its
+/// counterpart, and a delivery event routed to a non-interested core
+/// would be a no-op (it owns no neighbor of the sender). Scheduled
+/// dynamics stay safe because every move patches the owning shard's
+/// interest refcounts as it executes and backfills the in-flight records
+/// of any cell the set gains — see [`apply_master_dynamics`].
 #[allow(clippy::too_many_arguments)]
 fn assign_and_broadcast<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
@@ -2656,10 +2503,9 @@ fn assign_and_broadcast<P: Protocol>(
     owner: &[(u32, u32)],
     tracing: bool,
     tx_nj_per_bit: f64,
-    fan_out: FanOut,
-    ghosts: bool,
     dfa: bool,
 ) {
+    let multi = cores.len() > 1;
     merge.clear();
     let mut have_span_ends = false;
     for core in cores.iter_mut() {
@@ -2721,10 +2567,10 @@ fn assign_and_broadcast<P: Protocol>(
         // ones just above — either way the record is published now.
         let record = air.get(seq).expect("record published at this barrier");
         for core in cores.iter_mut() {
-            if fan_out == FanOut::Interest && !core.interest.contains_key(&record.cell) {
-                continue;
-            }
-            if ghosts {
+            if multi {
+                if !core.interest.contains_key(&record.cell) {
+                    continue;
+                }
                 core.ghost.insert(record);
             }
             core.rx_heap.push(RxEvent {
@@ -2795,9 +2641,9 @@ impl<P: Protocol + Send> ShardedSim<P> {
     /// Runs all events up to and including `deadline`, then advances
     /// the clock to it.
     ///
-    /// Multi-shard runs execute windows on scoped worker threads unless
-    /// observability is attached (or [`Self::set_force_serial`] was
-    /// called); output is identical either way.
+    /// Multi-shard runs execute windows on scoped worker threads when
+    /// [`Self::uses_worker_threads`] says so; output is identical either
+    /// way.
     ///
     /// # Panics
     ///
@@ -2812,7 +2658,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
         // maintained across runs — serial multi-shard windows keep them
         // warm so an engine switch (threads toggling on or off between
         // calls) never observes a stale replica.
-        let fan_out = if self.cores.len() > 1 {
+        if self.cores.len() > 1 {
             if !self.interest_valid {
                 self.build_interest();
                 self.interest_valid = true;
@@ -2822,15 +2668,12 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 self.rebuild_ghosts();
                 self.ghosts_valid = true;
             }
-            FanOut::Interest
-        } else {
-            FanOut::Broadcast
-        };
+        }
         let dyn_before = self.master_dyn.len();
         if self.uses_worker_threads() {
-            self.run_windows_parallel(deadline, fan_out);
+            self.run_windows_parallel(deadline);
         } else {
-            self.run_windows_serial(deadline, fan_out);
+            self.run_windows_serial(deadline);
         }
         if self.master_dyn.len() != dyn_before {
             self.placement_dirty = true;
@@ -2839,7 +2682,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
         self.flush_traces();
     }
 
-    fn run_windows_serial(&mut self, deadline: SimTime, fan_out: FanOut) {
+    fn run_windows_serial(&mut self, deadline: SimTime) {
         let ShardedSim {
             cores,
             air,
@@ -2853,7 +2696,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             radio,
             mac,
             faults,
-            lookahead,
             master,
             master_dyn,
             windows_executed,
@@ -2863,7 +2705,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             radio,
             mac,
             faults,
-            lookahead: *lookahead,
             tracing: tracer.is_some(),
             deadline,
             owner,
@@ -2873,7 +2714,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
         let multi = refs.len() > 1;
         loop {
             let t_end = match global_min(&refs) {
-                Some(min) if min <= deadline => window_end(min, *lookahead),
+                Some(min) if min <= deadline => window_end(min),
                 _ => break,
             };
             *windows_executed += 1;
@@ -2882,9 +2723,8 @@ impl<P: Protocol + Send> ShardedSim<P> {
             // backfilling ghosts as they go. Nothing in the window body
             // reads the master topology, so start-of-window application
             // is equivalent to the phases' own in-order replays.
-            let deferred = apply_master_dynamics(
-                master_dyn, master, &mut refs, air, owner, t_end, deadline, multi,
-            );
+            let deferred =
+                apply_master_dynamics(master_dyn, master, &mut refs, air, owner, t_end, deadline);
             if mac.carrier_sense {
                 run_phase1_csma(&mut refs, air, next_seq, &ctx, t_end, obs.as_ref());
             } else {
@@ -2906,8 +2746,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 owner,
                 ctx.tracing,
                 radio.energy.tx_nj_per_bit,
-                fan_out,
-                multi,
                 mac.dfa_config().is_some(),
             );
             apply_interest_decrements(&mut refs, &deferred);
@@ -2930,7 +2768,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
         }
     }
 
-    fn run_windows_parallel(&mut self, deadline: SimTime, fan_out: FanOut) {
+    fn run_windows_parallel(&mut self, deadline: SimTime) {
         let shards = self.cores.len();
         // The ghost replicas are maintained across runs (and across
         // serial/parallel engine switches) — `run_until` rebuilt them
@@ -2948,7 +2786,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             radio,
             mac,
             faults,
-            lookahead,
             tracer,
             windows_executed,
             ..
@@ -2957,7 +2794,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             radio,
             mac,
             faults,
-            lookahead: *lookahead,
             tracing: tracer.is_some(),
             deadline,
             owner,
@@ -3099,7 +2935,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 if min == u64::MAX || min > deadline.as_micros() {
                     break;
                 }
-                let t_end = window_end(SimTime::from_micros(min), *lookahead);
+                let t_end = window_end(SimTime::from_micros(min));
                 *windows_executed += 1;
                 // Window-start master dynamics: the locks are taken only
                 // when an entry actually falls inside this window.
@@ -3113,7 +2949,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                         let mut refs: Vec<&mut ShardCore<P>> =
                             guards.iter_mut().map(|g| &mut ***g).collect();
                         apply_master_dynamics(
-                            master_dyn, master, &mut refs, air, owner, t_end, deadline, true,
+                            master_dyn, master, &mut refs, air, owner, t_end, deadline,
                         )
                     })) {
                         Ok(d) => deferred = d,
@@ -3156,8 +2992,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
                             owner,
                             ctx.tracing,
                             radio.energy.tx_nj_per_bit,
-                            fan_out,
-                            true,
                             ctx.mac.dfa_config().is_some(),
                         );
                         // The barrier routed this window's publications
@@ -3532,11 +3366,11 @@ mod tests {
     fn parallel_matches_forced_serial() {
         for mac in [MacConfig::aloha(), MacConfig::csma()] {
             // The 16-node grid is far below the threading threshold, so
-            // force the worker-thread path to pin serial == threaded.
+            // it runs inline unless the worker-thread path is forced.
             let mut parallel = grid_run(14, mac, 4, true);
             parallel.set_force_threads(true);
             let mut serial = grid_run(14, mac, 4, true);
-            serial.set_force_serial(true);
+            assert!(!serial.uses_worker_threads());
             parallel.run_until(SimTime::from_secs(1));
             serial.run_until(SimTime::from_secs(1));
             assert_eq!(digest(&parallel), digest(&serial));
@@ -3575,11 +3409,11 @@ mod tests {
             !sim.uses_worker_threads(),
             "a 2-node sim must not spin up worker threads"
         );
-        // The debugging knobs still override the cost model…
+        // The debugging knob still overrides the cost model…
         sim.set_force_threads(true);
         assert!(sim.uses_worker_threads());
-        // …with force_serial winning over force_threads.
-        sim.set_force_serial(true);
+        // …except under attached observability.
+        sim.enable_obs(&Obs::enabled());
         assert!(!sim.uses_worker_threads());
         // Single-shard sims never thread, whatever the knobs say.
         let mut single = two_node(41, MacConfig::csma(), 1);
@@ -3630,62 +3464,17 @@ mod tests {
         assert_eq!(message, "protocol detonated");
     }
 
-    /// Every placement strategy yields valid shard indexes and — the
-    /// engine's core promise — identical output.
-    #[test]
-    fn placement_strategies_never_change_output() {
-        let reference = grid_digest(17, MacConfig::csma(), 1, true);
-        let strategies: Vec<Box<dyn ShardStrategy>> = vec![
-            Box::new(GridHash),
-            Box::new(SpatialStripes),
-            Box::new(DegreeBalanced),
-        ];
-        for strategy in strategies {
-            let name = strategy.name();
-            let topo = Topology::grid(4, 4, 30.0, 45.0);
-            let assignment = strategy.assign(&topo, 45.0, 3);
-            assert_eq!(assignment.len(), 16);
-            assert!(assignment.iter().all(|&s| s < 3), "{name} out of range");
-            let mut sim = grid_run(17, MacConfig::csma(), 3, true);
-            sim.strategy = strategy;
-            sim.placement_dirty = true;
-            sim.run_until(SimTime::from_millis(500));
-            sim.run_until(SimTime::from_millis(1500));
-            assert_eq!(digest(&sim), reference, "{name} diverged");
-        }
-    }
-
-    /// SpatialStripes cuts the cell-sorted order into contiguous
-    /// near-equal chunks.
+    /// Placement cuts the cell-sorted order into contiguous near-equal
+    /// chunks.
     #[test]
     fn spatial_stripes_are_contiguous_and_balanced() {
         let topo = Topology::grid(8, 8, 30.0, 45.0);
-        let assignment = SpatialStripes.assign(&topo, 45.0, 4);
+        let assignment = stripe_placement(&topo, 45.0, 4);
         let mut sizes = [0usize; 4];
         for &s in &assignment {
             sizes[s as usize] += 1;
         }
         assert_eq!(sizes, [16, 16, 16, 16]);
-    }
-
-    /// DegreeBalanced spreads a hotspot: with one dense cluster and
-    /// isolated outliers, no shard gets the whole cluster plus extras.
-    #[test]
-    fn degree_balanced_splits_hotspots() {
-        let mut topo = Topology::new(50.0);
-        // 12 mutually in-range nodes plus 4 isolated ones.
-        for i in 0..12 {
-            topo.add(Position::new(f64::from(i) * 0.5, 0.0));
-        }
-        for i in 0..4 {
-            topo.add(Position::new(1000.0 + f64::from(i) * 500.0, 0.0));
-        }
-        let assignment = DegreeBalanced.assign(&topo, 50.0, 4);
-        let mut cluster_per_shard = [0usize; 4];
-        for node in 0..12 {
-            cluster_per_shard[assignment[node] as usize] += 1;
-        }
-        assert_eq!(cluster_per_shard, [3, 3, 3, 3]);
     }
 
     /// Arms two timers at start, cancels one of them.

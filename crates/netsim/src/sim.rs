@@ -199,7 +199,7 @@ impl SimBuilder {
     ///
     /// All fault randomness comes from a dedicated RNG stream derived
     /// from the builder seed via
-    /// [`fault_stream_seed`](crate::fault::fault_stream_seed), so a
+    /// [`crate::fault::fault_stream_seed`], so a
     /// run with `FaultModel::none()` is byte-identical to one that
     /// never called this method: no draw of the main RNG moves.
     /// Scheduled churn events must name nodes that are added before

@@ -170,18 +170,28 @@ fn run_one(
     }
 }
 
+/// The randomized dynamics of one [`run_dynamic`] case.
+struct Dynamics<'a> {
+    /// Cell-crossing moves: `(time step, node selector, column, row)`.
+    moves: &'a [(u16, u8, u8, u8)],
+    /// Nodes added between the two `run_until` calls: `(column, row)`.
+    late: &'a [(u8, u8)],
+}
+
 /// Like [`run_one`], but stressing the O(active) machinery (ISSUE 7):
 /// randomized mid-run moves — including one that brings a distant node
 /// into the cluster, forcing interest-set gains and ghost backfills —
-/// followed by a long fully-idle tail the engine must fast-forward
-/// through without changing an output byte. Returns the digest plus
-/// the number of synchronization windows actually executed.
+/// and nodes admitted between the two `run_until` calls (placed by the
+/// next run's rebalance), followed by a long fully-idle tail the engine
+/// must fast-forward through without changing an output byte. Returns
+/// the digest plus the number of synchronization windows actually
+/// executed.
 fn run_dynamic(
     seed: u64,
     nodes: usize,
     jitter: u64,
     kind: MacKind,
-    moves: &[(u16, u8, u8, u8)],
+    dynamics: &Dynamics<'_>,
     shards: usize,
     force_threads: bool,
 ) -> (Digest, u64) {
@@ -212,7 +222,7 @@ fn run_dynamic(
     );
     // Randomized cell-crossing moves on a 9 m lattice (cell pitch is
     // the 45 m range, so these hop interest cells constantly).
-    for &(ms, sel, col, row) in moves {
+    for &(ms, sel, col, row) in dynamics.moves {
         sim.schedule_move(
             SimTime::from_micros(5_000 + u64::from(ms) * 997),
             NodeId(u32::from(sel) % (nodes as u32 + 1)),
@@ -220,6 +230,13 @@ fn run_dynamic(
         );
     }
     sim.run_until(SimTime::from_millis(350));
+    // Late arrivals on the same lattice, in and around the cluster.
+    for &(col, row) in dynamics.late {
+        sim.add_node_at(Position::new(
+            f64::from(col % 20) * 9.0,
+            f64::from(row % 20) * 9.0,
+        ));
+    }
     // All traffic dies out well before 30 s; the tail is pure idle
     // time that window skipping must cross without executing windows.
     sim.run_until(SimTime::from_secs(30));
@@ -284,11 +301,11 @@ proptest! {
 
     /// Delta-routed ghost maintenance and O(active) window skipping
     /// (ISSUE 7): randomized cell-crossing moves — inbound, outbound,
-    /// mid-flight — plus a ~29 s fully-idle tail must leave the output
-    /// byte-identical for every shard count and both engines, and the
-    /// idle tail must cost zero executed windows (the window count is
-    /// itself invariant, because the window sequence is a function of
-    /// the global event set alone).
+    /// mid-flight — nodes added between runs, and a ~29 s fully-idle
+    /// tail must leave the output byte-identical for every shard count
+    /// and both engines, and the idle tail must cost zero executed
+    /// windows (the window count is itself invariant, because the
+    /// window sequence is a function of the global event set alone).
     #[test]
     fn dynamics_and_window_skipping_never_change_output(
         seed in 1u64..5_000,
@@ -299,8 +316,10 @@ proptest! {
             (0u16..900, any::<u8>(), any::<u8>(), any::<u8>()),
             0..6,
         ),
+        late in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..4),
     ) {
-        let (reference, windows) = run_dynamic(seed, nodes, jitter, mac, &moves, 1, false);
+        let dynamics = Dynamics { moves: &moves, late: &late };
+        let (reference, windows) = run_dynamic(seed, nodes, jitter, mac, &dynamics, 1, false);
         prop_assert!(reference.stats.frames_sent > 0);
         // 30 s of timeline is 60k lookahead windows; activity spans at
         // most ~1.3 s of it (DFA paces itself by N-slot frames and
@@ -309,11 +328,11 @@ proptest! {
         let cap = if mac == MacKind::Dfa { 20_000 } else { 4_000 };
         prop_assert!(windows < cap, "idle tail was walked: {} windows", windows);
         for shards in [2usize, 4, 8] {
-            let (got, w) = run_dynamic(seed, nodes, jitter, mac, &moves, shards, false);
+            let (got, w) = run_dynamic(seed, nodes, jitter, mac, &dynamics, shards, false);
             prop_assert_eq!(&got, &reference, "diverged at {} shards", shards);
             prop_assert_eq!(w, windows, "window count diverged at {} shards", shards);
         }
-        let (got, w) = run_dynamic(seed, nodes, jitter, mac, &moves, 4, true);
+        let (got, w) = run_dynamic(seed, nodes, jitter, mac, &dynamics, 4, true);
         prop_assert_eq!(&got, &reference, "threaded dynamic run diverged");
         prop_assert_eq!(w, windows, "threaded window count diverged");
     }

@@ -9,7 +9,8 @@
 //! stdin reaches EOF or a line reading `quit` — the daemon analogue of
 //! SIGTERM that works identically under CI, scripts, and a terminal.
 //! On shutdown it drains the shard queues, joins every thread, and
-//! prints the final per-strategy statistics (plus a Prometheus metrics
+//! prints the number of connections turned away at the connection cap
+//! and the final per-strategy statistics (plus a Prometheus metrics
 //! dump when `--obs` is set).
 
 use std::io::BufRead;
@@ -81,7 +82,9 @@ fn main() {
     // Final statistics through the service's own front door.
     let stats = TcpClient::connect(addr)
         .and_then(|mut client| client.request(&Request::Stats { shard: ALL_SHARDS }));
+    let rejected = server.rejected_connections();
     server.shutdown();
+    eprintln!("[retrid] connections rejected at the connection cap: {rejected}");
     if let Ok(Reply::Stats(entries)) = stats {
         eprintln!(
             "[retrid] {:<12} {:>5} {:>6} {:>12} {:>12} {:>12} {:>14}",

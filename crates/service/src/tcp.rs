@@ -18,10 +18,13 @@
 //! never blocked on a silent socket. The accept loop survives its own
 //! failures: a connection whose thread cannot be spawned is closed and
 //! the loop keeps accepting, and a failing `accept` (e.g. out of file
-//! descriptors) is retried after [`ACCEPT_BACKOFF`] instead of in a
+//! descriptors) is retried after `ACCEPT_BACKOFF` instead of in a
 //! busy loop. Each accept also reaps the threads of connections that
 //! have ended, so the registry stays as large as the set of live
-//! connections, not the daemon's lifetime connection count.
+//! connections, not the daemon's lifetime connection count. At most
+//! `MAX_CONNECTIONS` connections are served at once: one more is
+//! answered with a single `BUSY` frame and closed, and counted in
+//! [`Server::rejected_connections`].
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -47,6 +50,11 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 /// as `EMFILE` would otherwise spin the accept thread at full CPU.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
+/// Most connections served at once, each on its own thread. The
+/// accept loop rejects any beyond it with `BUSY` instead of spawning
+/// without bound.
+const MAX_CONNECTIONS: usize = 256;
+
 /// One queued request: the decoded frame plus the reply path back to
 /// the connection thread that forwarded it.
 struct Job {
@@ -64,6 +72,7 @@ pub struct Server {
     accept_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    rejected: Arc<AtomicU64>,
     shard_txs: Vec<SyncSender<Job>>,
 }
 
@@ -84,6 +93,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let rejected = Arc::new(AtomicU64::new(0));
 
         let shards = build_shards(config);
         let busy: Vec<Arc<AtomicU64>> = shards.iter().map(|s| s.busy_counter()).collect();
@@ -110,15 +120,31 @@ impl Server {
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conn_threads = Arc::clone(&conn_threads);
+            let rejected = Arc::clone(&rejected);
             let shard_txs = shard_txs.clone();
             let busy = busy.clone();
             std::thread::Builder::new()
                 .name("retrid-accept".to_string())
                 .spawn(move || loop {
                     match listener.accept() {
-                        Ok((stream, _peer)) => {
+                        Ok((mut stream, _peer)) => {
                             if stop.load(Ordering::SeqCst) {
                                 return;
+                            }
+                            let mut conns =
+                                conn_threads.lock().expect("connection registry poisoned");
+                            for finished in conns.extract_if(.., |handle| handle.is_finished()) {
+                                let _ = finished.join();
+                            }
+                            if conns.len() >= MAX_CONNECTIONS {
+                                drop(conns);
+                                rejected.fetch_add(1, Ordering::Relaxed);
+                                // A fresh socket's send buffer takes the
+                                // 5-byte frame without blocking; the
+                                // timeout only guards a broken peer.
+                                let _ = stream.set_write_timeout(Some(POLL_TIMEOUT));
+                                let _ = write_reply(&mut stream, &Reply::Busy);
+                                continue;
                             }
                             let stop = Arc::clone(&stop);
                             let shard_txs = shard_txs.clone();
@@ -126,11 +152,6 @@ impl Server {
                             let spawned = std::thread::Builder::new()
                                 .name("retrid-conn".to_string())
                                 .spawn(move || serve_connection(stream, &shard_txs, &busy, &stop));
-                            let mut conns =
-                                conn_threads.lock().expect("connection registry poisoned");
-                            for finished in conns.extract_if(.., |handle| handle.is_finished()) {
-                                let _ = finished.join();
-                            }
                             // Out of threads: the failed spawn dropped its
                             // closure, which closes only this connection.
                             if let Ok(handle) = spawned {
@@ -150,6 +171,7 @@ impl Server {
             accept_thread: Some(accept_thread),
             shard_threads,
             conn_threads,
+            rejected,
             shard_txs,
         })
     }
@@ -172,6 +194,13 @@ impl Server {
             .lock()
             .expect("connection registry poisoned")
             .len()
+    }
+
+    /// Connections turned away with `BUSY` because `MAX_CONNECTIONS`
+    /// were already being served.
+    #[must_use]
+    pub fn rejected_connections(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Graceful shutdown: stop accepting, let every connection thread
@@ -424,5 +453,62 @@ impl TcpClient {
         let mut payload = vec![0u8; len];
         self.stream.read_exact(&mut payload)?;
         Ok(payload)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connections_past_the_cap_get_busy_then_eof() {
+        let mut config = ServiceConfig::new(3);
+        config.shards = 1;
+        let server = Server::start(&config, "127.0.0.1:0").expect("bind");
+        // Each PONG shows the connection is served; the accept loop
+        // registers a connection before it accepts the next one.
+        let mut held: Vec<TcpClient> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut client = TcpClient::connect(server.addr()).expect("connect");
+                assert_eq!(client.request(&Request::Ping).expect("ping"), Reply::Pong);
+                client
+            })
+            .collect();
+        for _ in 0..3 {
+            let mut extra = TcpClient::connect(server.addr()).expect("connect");
+            // Without the cap this would be a served connection that
+            // never speaks first: fail instead of hanging.
+            extra
+                .stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let frame = extra.read_frame().expect("BUSY frame");
+            assert_eq!(
+                crate::proto::decode_reply(&frame).expect("decodes"),
+                Reply::Busy
+            );
+            let mut byte = [0u8; 1];
+            assert_eq!(extra.stream.read(&mut byte).expect("clean close"), 0);
+        }
+        assert_eq!(server.rejected_connections(), 3);
+        assert!(server.live_connections() <= MAX_CONNECTIONS);
+        for client in &mut held {
+            assert_eq!(client.request(&Request::Ping).expect("ping"), Reply::Pong);
+        }
+        // Once a held connection closes, its slot serves a newcomer (as
+        // soon as its thread has noticed the hang-up and finished).
+        drop(held.pop());
+        let served = (0..100).any(|_| {
+            let mut next = TcpClient::connect(server.addr()).expect("connect");
+            let pong = matches!(next.request(&Request::Ping), Ok(Reply::Pong));
+            if !pong {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            pong
+        });
+        assert!(served, "a freed slot must serve a new connection");
+        assert!(server.live_connections() <= MAX_CONNECTIONS);
+        drop(held);
+        server.shutdown();
     }
 }
