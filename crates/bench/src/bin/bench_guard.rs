@@ -6,16 +6,15 @@
 //! [--baseline <path>] [--baseline-entry <label>]`
 //!
 //! Evaluates the named entry — usually the one `bench_summary` just
-//! wrote — against the sharded-beats-serial, fault-channel-ratio,
-//! 1M-vs-100k scale, svc-allocation and adaptive-MAC rules, printing
-//! one verdict line per rule. Exits
-//! non-zero if any rule fails; skipped rules (for example
-//! sharded-vs-serial on a small CI host) are reported with a count and
-//! reasons rather than passing silently, and workload-level `skipped`
-//! markers recorded in the entry are echoed as NOTE lines. The baseline
-//! defaults to the committed `BENCH_netsim.json` at its latest
-//! known-good full-effort entry (`pr6-shard-fix`); pass
-//! `--baseline-entry` to compare against an older trajectory point.
+//! wrote — against every rule in [`retri_bench::guard::RULES`],
+//! printing one verdict line per rule. Exits non-zero if any rule
+//! fails; skipped rules (for example sharded-vs-serial on a small CI
+//! host) are reported with a count and reasons rather than passing
+//! silently, and workload-level `skipped` markers recorded in the entry
+//! are echoed as NOTE lines. The baseline defaults to the committed
+//! `BENCH_netsim.json`'s `pr6-shard-fix` entry, the full-effort entry
+//! CI pins as its baseline (later entries exist; CI does not follow
+//! them). Pass `--baseline-entry` to compare against another point.
 
 use std::path::PathBuf;
 

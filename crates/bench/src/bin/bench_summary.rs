@@ -14,9 +14,9 @@
 //! - `--out` defaults to `BENCH_netsim.json` in the current directory.
 //! - `--reps` overrides the repetition count (median is recorded).
 //! - `--shards` sets the spatial shard count for testbed-backed
-//!   workloads ([`retri_bench::shards_from_args`]); the dedicated
-//!   `sim_mesh_10k_sharded` workload picks its own count from
-//!   `RETRI_BENCH_SHARDS` or the host parallelism regardless.
+//!   workloads ([`retri_bench::shards_from_args`]); the sharded mesh
+//!   workloads pick their own count from `RETRI_BENCH_SHARDS` or the
+//!   host parallelism regardless.
 //!
 //! The schema is documented in EXPERIMENTS.md ("Performance"). Unlike
 //! the experiment provenance documents, this file records wall-clock
@@ -84,58 +84,6 @@ fn measurement_value(m: &Measurement) -> Value {
             Value::Array(m.samples_ns.iter().map(|&n| Value::UInt(n)).collect()),
         ),
     ])
-}
-
-/// Upgrades one retained entry in place to the self-describing field
-/// names: the per-workload `"trials"` count (simulator trials folded
-/// into each timed batch) becomes `"trials_per_rep"`, and each
-/// measurement gains an explicit `"reps"` count matching its
-/// `samples_ns` length. Early trajectory entries wrote `"trials": 1`
-/// next to five samples, inviting readers to conflate the two; the
-/// rewrite keeps the whole file on one vocabulary.
-fn migrate_entry(entry: &Value) -> Value {
-    let Value::Object(fields) = entry else {
-        return entry.clone();
-    };
-    let fields = fields
-        .iter()
-        .map(|(key, value)| match (key.as_str(), value) {
-            ("workloads", Value::Array(workloads)) => (
-                key.clone(),
-                Value::Array(workloads.iter().map(migrate_workload).collect()),
-            ),
-            _ => (key.clone(), value.clone()),
-        })
-        .collect();
-    Value::Object(fields)
-}
-
-fn migrate_workload(workload: &Value) -> Value {
-    let Value::Object(fields) = workload else {
-        return workload.clone();
-    };
-    let fields = fields
-        .iter()
-        .map(|(key, value)| match (key.as_str(), value) {
-            ("trials", _) => ("trials_per_rep".to_string(), value.clone()),
-            ("serial" | "parallel", Value::Object(m)) => {
-                let mut m = m.clone();
-                if !m.iter().any(|(k, _)| k == "reps") {
-                    let reps = value
-                        .get("samples_ns")
-                        .and_then(Value::as_array)
-                        .map_or(0, <[Value]>::len);
-                    m.insert(
-                        1.min(m.len()),
-                        ("reps".to_string(), Value::UInt(reps as u64)),
-                    );
-                }
-                (key.clone(), Value::Object(m))
-            }
-            _ => (key.clone(), value.clone()),
-        })
-        .collect();
-    Value::Object(fields)
 }
 
 /// Resets this process's peak resident set (`VmHWM`) to its current
@@ -209,70 +157,10 @@ fn run_suite(args: &Args) -> Value {
                     ));
                 }
             }
-            // Service workloads carry their throughput/latency detail
-            // next to the batch wall-clock: the trajectory is where
-            // "allocations per second at what p99" is recorded, and
-            // the bench_guard svc rule reads these fields.
-            if let Some(detail) = workloads::svc_detail(w.name) {
-                fields.push(("svc_allocs".to_string(), Value::UInt(detail.allocs)));
-                fields.push(("svc_busy".to_string(), Value::UInt(detail.busy)));
-                fields.push((
-                    "svc_p50_latency_ns".to_string(),
-                    Value::UInt(detail.p50_latency_ns),
-                ));
-                fields.push((
-                    "svc_p99_latency_ns".to_string(),
-                    Value::UInt(detail.p99_latency_ns),
-                ));
-                fields.push((
-                    "svc_allocs_per_sec".to_string(),
-                    Value::Float(detail.allocs_per_sec),
-                ));
-            }
-            // The adaptive-MAC workload likewise records its detail:
-            // known-N vs density-estimated DFA success counts and the
-            // Wilson verdict against the closed form, read back by the
-            // bench_guard adaptive-MAC rule.
-            if w.name == "sim_dfa_saturated" {
-                if let Some(detail) = workloads::dfa_detail() {
-                    fields.push((
-                        "dfa_known_attempts".to_string(),
-                        Value::UInt(detail.known_attempts),
-                    ));
-                    fields.push((
-                        "dfa_known_successes".to_string(),
-                        Value::UInt(detail.known_successes),
-                    ));
-                    fields.push((
-                        "dfa_estimated_attempts".to_string(),
-                        Value::UInt(detail.estimated_attempts),
-                    ));
-                    fields.push((
-                        "dfa_estimated_successes".to_string(),
-                        Value::UInt(detail.estimated_successes),
-                    ));
-                    fields.push((
-                        "dfa_wilson_ok".to_string(),
-                        Value::UInt(u64::from(detail.wilson_ok)),
-                    ));
-                    fields.push((
-                        "dfa_known_deliveries".to_string(),
-                        Value::UInt(detail.known_deliveries),
-                    ));
-                    fields.push((
-                        "dfa_estimated_deliveries".to_string(),
-                        Value::UInt(detail.estimated_deliveries),
-                    ));
-                    fields.push((
-                        "dfa_csma_deliveries".to_string(),
-                        Value::UInt(detail.csma_deliveries),
-                    ));
-                    fields.push((
-                        "dfa_aloha_deliveries".to_string(),
-                        Value::UInt(detail.aloha_deliveries),
-                    ));
-                }
-            }
+            // Whatever detail the workload returned (service
+            // throughput, adaptive-MAC verdicts, …), from the parallel
+            // pass: the bench_guard rules read these fields.
+            fields.extend(p.detail.iter().map(|(k, v)| ((*k).to_string(), v.clone())));
             // A sharded workload timed on a small host still records
             // its numbers, but the sharded-vs-serial comparison they
             // invite is not meaningful there — mark it so readers (and
@@ -329,11 +217,15 @@ fn print_table(set: &[Workload], serial: &[Measurement], parallel: &[Measurement
     }
 }
 
-/// Compares this entry against the one recorded just before it and
+/// Compares this entry against an earlier one of the same effort and
 /// prints the serial-median speedups.
 fn print_speedups(previous: &Value, current: &Value) {
     let prev_label = previous.get("label").and_then(Value::as_str).unwrap_or("?");
-    println!("\nserial-median change vs previous entry '{prev_label}':");
+    let effort = previous
+        .get("effort")
+        .and_then(Value::as_str)
+        .unwrap_or("?");
+    println!("\nserial-median change vs latest {effort}-effort entry '{prev_label}':");
     let empty: &[Value] = &[];
     let prev_workloads = previous
         .get("workloads")
@@ -390,15 +282,11 @@ fn main() {
         }
         Err(_) => Vec::new(),
     };
-    if let Some(previous) = entries
-        .iter()
-        .rev()
-        .find(|e| e.get("label").and_then(Value::as_str) != Some(&args.label))
-    {
-        print_speedups(previous, &entry);
+    match guard::latest_same_effort(&entries, &entry) {
+        Some(previous) => print_speedups(previous, &entry),
+        None => println!("\nno same-effort entry to compare serial medians against"),
     }
     entries.retain(|e| e.get("label").and_then(Value::as_str) != Some(&args.label));
-    let mut entries: Vec<Value> = entries.iter().map(migrate_entry).collect();
     entries.push(entry);
     let doc = Value::Object(vec![
         ("schema".to_string(), Value::String(SCHEMA.to_string())),

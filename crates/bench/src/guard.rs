@@ -5,60 +5,37 @@
 //! to the serial mesh — and nothing failed. This module gives the CI
 //! `bench-smoke` job teeth: the `bench_guard` binary evaluates a
 //! trajectory entry (usually the one `bench_summary` just wrote)
-//! against two rules and exits non-zero when either fails.
+//! against every row of [`RULES`] and exits non-zero when any fails.
 //!
-//! **Rule 1 — sharding must win.** `sim_mesh_10k_sharded`'s median
-//! must not exceed `sim_mesh_10k`'s serial median in the same entry.
-//! The comparison is only meaningful with real parallel hardware, so
-//! the check is skipped (loudly) when the entry records fewer than
-//! [`MIN_CORES_FOR_SHARD_CHECK`] available cores.
+//! A [`Rule`] divides one workload's median by what it is measured
+//! [`Against`] and compares the ratio with its budget, after its
+//! detail [`Check`]s hold. Raw wall-clock is never compared across
+//! entries: the cross-entry rule compares costs *anchored* on
+//! `wire_roundtrip` (pure CPU work untouched by simulator changes), so
+//! the ratio survives a change of machine. Rules whose workload, detail
+//! field or baseline is missing SKIP, so entries recorded before a
+//! workload existed do not fail.
 //!
-//! **Rule 2 — the fault channel must stay cheap.** Comparing raw
-//! wall-clock against a committed baseline would tie CI to the speed
-//! of whatever machine recorded it, so the guard compares the
-//! *dimensionless* ratio `sim_fault_channel / wire_roundtrip` (both
-//! serial medians). `wire_roundtrip` is pure CPU work untouched by
-//! simulator changes, so the ratio is comparable across machines. It
-//! is *not* perfectly effort-invariant — per-trial setup amortizes
-//! differently over `--quick`'s shorter sim time, shifting the ratio
-//! ~1.4× between quick and full — which is why the budget is
-//! [`FAULT_RATIO_BUDGET_FACTOR`] × the same ratio in the baseline
-//! entry, and why CI baselines against the *latest* committed
-//! full-effort entry rather than a pinned historical one: generous
-//! against noise and the quick/full shift, while the PR 5 regression
-//! (a 32× ratio blowup) fails it by more than an order of magnitude.
+//! | rule | workload (mode) | against | budget | also |
+//! |---|---|---|---|---|
+//! | `sharded-beats-serial` | `sim_mesh_10k_sharded` (parallel) | `sim_mesh_10k` (serial) | 1× | ≥ [`MIN_CORES_FOR_SHARD_CHECK`] cores |
+//! | `fault-channel-ratio` | `sim_fault_channel` (serial) | its anchored cost in the baseline entry | [`FAULT_RATIO_BUDGET_FACTOR`]× | |
+//! | `scale-ratio-1m-vs-100k` | `sim_mesh_1m_sharded` (serial) | `sim_mesh_100k_sharded` (serial) | [`SCALE_RATIO_BUDGET_FACTOR`]× | |
+//! | `svc-allocation-run` | `svc_alloc_1m` (serial) | `wire_roundtrip` | [`SVC_ALLOC_RATIO_BUDGET`]× | `svc_allocs` ≥ [`SVC_ALLOC_FLOOR`] |
+//! | `dfa-adaptive-mac` | `sim_dfa_saturated` (serial) | `wire_roundtrip` | [`DFA_RATIO_BUDGET`]× | `dfa_wilson_ok` = 1; `dfa_estimated_successes` ≥ [`DFA_ESTIMATED_FLOOR_PCT`]% of `dfa_known_successes` |
 //!
-//! **Rule 3 — scale must stay O(active work).** Within one entry, the
-//! 1M-node sharded mesh may cost at most [`SCALE_RATIO_BUDGET_FACTOR`]
-//! × the 100k-node sharded mesh, both normalized by `wire_roundtrip`.
-//! An engine that pays per-window costs proportional to topology size
-//! makes the 1M workload ~10× the 100k one on ticks alone and far more
-//! in aggregate; the O(active) engine keeps the multiple low because
-//! the 1M workload's traffic is deliberately sparse. Entries recorded
-//! before the 1M workload existed skip this rule.
-//!
-//! **Rule 4 — the allocator service must mint a million cheaply.** The
-//! `svc_alloc_1m` workload must have recorded at least one million
-//! identifier allocations (`svc_allocs`, written by `bench_summary`
-//! from the load report — the acceptance property, not an inference
-//! from timings), and its anchored cost — serial median over
-//! `wire_roundtrip`'s, same entry — must stay within
-//! [`SVC_ALLOC_RATIO_BUDGET`]. The workload runs at full size even
-//! under `--quick` while the anchor shrinks, so the measured quick
-//! ratio (~0.4) is the *worst* case the budget must admit; 1.5 leaves
-//! ~4× headroom there and far more on full-effort entries without
-//! admitting an allocator whose hot path grew a lock or an allocation
-//! per mint. Entries predating the service workloads skip.
-//!
-//! **Rule 5 — the adaptive MAC must close the RETRI loop.** The
-//! `sim_dfa_saturated` workload records its Dynamic-Frame Aloha detail
-//! into the entry; the rule requires the known-population run's
-//! success rate to have contained the closed-form prediction (Wilson,
-//! 99%), the density-estimated run to reach
-//! [`DFA_ESTIMATED_FLOOR_PCT`]% of the known-N successes, and the
-//! workload's anchored cost to stay within [`DFA_RATIO_BUDGET`].
+//! The anchored fault-channel ratio is *not* perfectly effort-invariant
+//! — per-trial setup amortizes differently over `--quick`'s shorter sim
+//! time, shifting it ~1.4× between quick and full — so its budget is a
+//! multiple of the baseline entry's ratio. CI pins the full-effort
+//! `pr6-shard-fix` entry as that baseline: the 2× budget absorbs noise
+//! and the quick/full shift, while the `pr5-sharded` regression (a 32×
+//! ratio blowup) fails it by more than an order of magnitude.
 
 use serde_json::Value;
+
+/// The pure-CPU workload whose serial median anchors every cost.
+pub const ANCHOR: &str = "wire_roundtrip";
 
 /// Cores below which the sharded-beats-serial comparison is noise.
 pub const MIN_CORES_FOR_SHARD_CHECK: u64 = 4;
@@ -66,7 +43,7 @@ pub const MIN_CORES_FOR_SHARD_CHECK: u64 = 4;
 /// Allowed growth of the fault-channel ratio over the baseline.
 pub const FAULT_RATIO_BUDGET_FACTOR: f64 = 2.0;
 
-/// Rule 3's budget: the 1M-node mesh may cost at most this multiple of
+/// `scale-ratio-1m-vs-100k`'s budget: the 1M-node mesh may cost at most this multiple of
 /// the 100k-node mesh, with both normalized by the `wire_roundtrip`
 /// anchor (serial medians, same entry). The 1M workload carries 10× the
 /// nodes but a deliberately *sparser* traffic pattern (one frame per
@@ -78,17 +55,17 @@ pub const FAULT_RATIO_BUDGET_FACTOR: f64 = 2.0;
 /// a per-window topology scan.
 pub const SCALE_RATIO_BUDGET_FACTOR: f64 = 10.0;
 
-/// Rule 4's budget: `svc_alloc_1m` (one million in-process
+/// `svc-allocation-run`'s budget: `svc_alloc_1m` (one million in-process
 /// allocations, never shrunk by `--quick`) may cost at most this
 /// multiple of the `wire_roundtrip` anchor. Calibrated against the
 /// quick-effort anchor, where the ratio is largest (~0.4 measured).
 pub const SVC_ALLOC_RATIO_BUDGET: f64 = 1.5;
 
-/// The allocation floor rule 4 enforces: the recorded run must have
+/// The allocation floor `svc-allocation-run` enforces: the recorded run must have
 /// minted at least this many identifiers.
 pub const SVC_ALLOC_FLOOR: u64 = 1_000_000;
 
-/// Rule 5's throughput floor, in percent: Dynamic-Frame Aloha sizing
+/// `dfa-adaptive-mac`'s throughput floor, in percent: Dynamic-Frame Aloha sizing
 /// its frames from the density estimator must keep at least this share
 /// of the known-population throughput over the same horizon. The
 /// estimator's only handicaps are the warm-up at the configured frame
@@ -98,7 +75,7 @@ pub const SVC_ALLOC_FLOOR: u64 = 1_000_000;
 /// without flagging estimator noise.
 pub const DFA_ESTIMATED_FLOOR_PCT: u64 = 90;
 
-/// Rule 5's anchored-cost budget: `sim_dfa_saturated` (four saturated
+/// `dfa-adaptive-mac`'s anchored-cost budget: `sim_dfa_saturated` (four saturated
 /// 16-node clique runs: DFA known-N, DFA estimated, CSMA, ALOHA) may
 /// cost at most this multiple of the `wire_roundtrip` anchor, serial
 /// medians in the same entry. Measured ~0.6x at both efforts; 2.0
@@ -153,18 +130,34 @@ pub fn find_entry<'doc>(doc: &'doc Value, label: &str) -> Option<&'doc Value> {
         .find(|e| e.get("label").and_then(Value::as_str) == Some(label))
 }
 
-/// The recorded median for `(workload, mode)` in one entry, where
-/// `mode` is `"serial"` or `"parallel"`.
+/// The latest entry in `entries`, other than `current` itself, that
+/// was recorded at `current`'s effort: raw medians are only comparable
+/// between entries of the same effort.
 #[must_use]
-pub fn median_ns(entry: &Value, workload: &str, mode: &str) -> Option<u64> {
+pub fn latest_same_effort<'doc>(entries: &'doc [Value], current: &Value) -> Option<&'doc Value> {
+    entries.iter().rev().find(|e| {
+        e.get("effort") == current.get("effort") && e.get("label") != current.get("label")
+    })
+}
+
+fn workload<'e>(entry: &'e Value, name: &str) -> Option<&'e Value> {
     entry
         .get("workloads")?
         .as_array()?
         .iter()
-        .find(|w| w.get("name").and_then(Value::as_str) == Some(workload))?
-        .get(mode)?
-        .get("median_ns")?
-        .as_u64()
+        .find(|w| w.get("name").and_then(Value::as_str) == Some(name))
+}
+
+/// The recorded median for `(workload, mode)` in one entry, where
+/// `mode` is `"serial"` or `"parallel"`.
+#[must_use]
+pub fn median_ns(entry: &Value, name: &str, mode: &str) -> Option<u64> {
+    workload(entry, name)?.get(mode)?.get("median_ns")?.as_u64()
+}
+
+/// An integer detail field recorded next to a workload's timings.
+fn detail_field(entry: &Value, name: &str, field: &str) -> Option<u64> {
+    workload(entry, name)?.get(field)?.as_u64()
 }
 
 /// The core count the entry was recorded on. Prefers the explicit
@@ -179,210 +172,233 @@ pub fn recorded_cores(entry: &Value) -> Option<u64> {
         .and_then(Value::as_u64)
 }
 
-/// Rule 1: the sharded 10k mesh must beat the serial 10k mesh.
-///
-/// Uses the *parallel*-pass median of the sharded workload (shards and
-/// the trial harness both get the host's cores there) against the
-/// *serial*-pass median of the one-shard workload.
-#[must_use]
-pub fn check_sharded_beats_serial(entry: &Value) -> Verdict {
-    let cores = recorded_cores(entry).unwrap_or(0);
-    if cores < MIN_CORES_FOR_SHARD_CHECK {
-        return Verdict::Skip(format!(
-            "entry records {cores} core(s); sharded-vs-serial needs at least \
-             {MIN_CORES_FOR_SHARD_CHECK} to be meaningful"
-        ));
-    }
-    let (Some(sharded), Some(serial)) = (
-        median_ns(entry, "sim_mesh_10k_sharded", "parallel"),
-        median_ns(entry, "sim_mesh_10k", "serial"),
-    ) else {
-        return Verdict::Skip("entry lacks the sim_mesh_10k workload pair".to_string());
-    };
-    if sharded <= serial {
-        Verdict::Pass(format!(
-            "sim_mesh_10k_sharded {:.0} ms <= sim_mesh_10k serial {:.0} ms on {cores} cores",
-            sharded as f64 / 1e6,
-            serial as f64 / 1e6,
-        ))
-    } else {
-        Verdict::Fail(format!(
-            "sim_mesh_10k_sharded {:.0} ms exceeds sim_mesh_10k serial {:.0} ms on {cores} cores",
-            sharded as f64 / 1e6,
-            serial as f64 / 1e6,
-        ))
-    }
+/// What a rule's workload median is divided by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Against {
+    /// The [`ANCHOR`]'s serial median in the same entry.
+    Anchor,
+    /// Another `(workload, mode)` median in the same entry.
+    Workload(&'static str, &'static str),
+    /// The same workload's anchored cost in the baseline entry, with
+    /// this entry's cost anchored too.
+    Baseline,
 }
 
-/// The machine-independent fault-channel cost: `sim_fault_channel`
-/// serial median over `wire_roundtrip` serial median.
-#[must_use]
-pub fn fault_ratio(entry: &Value) -> Option<f64> {
-    let fault = median_ns(entry, "sim_fault_channel", "serial")?;
-    let wire = median_ns(entry, "wire_roundtrip", "serial")?;
-    (wire > 0).then(|| fault as f64 / wire as f64)
+/// A predicate over a workload's integer detail fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Check {
+    /// The field is at least this value.
+    AtLeast(&'static str, u64),
+    /// The field equals this value.
+    Equals(&'static str, u64),
+    /// `field` is at least `pct`% of `of`.
+    PercentOf {
+        /// The field held to the floor.
+        field: &'static str,
+        /// The field the floor is a share of.
+        of: &'static str,
+        /// The floor, in percent.
+        pct: u64,
+    },
 }
 
-/// Rule 2: the entry's fault-channel ratio must stay within
-/// [`FAULT_RATIO_BUDGET_FACTOR`] × the baseline entry's.
-#[must_use]
-pub fn check_fault_ratio(entry: &Value, baseline: &Value, baseline_label: &str) -> Verdict {
-    let Some(base) = fault_ratio(baseline) else {
-        return Verdict::Skip(format!(
-            "baseline entry '{baseline_label}' lacks the fault/wire workload pair"
-        ));
-    };
-    let Some(now) = fault_ratio(entry) else {
-        return Verdict::Skip("entry lacks the fault/wire workload pair".to_string());
-    };
-    let budget = FAULT_RATIO_BUDGET_FACTOR * base;
-    if now <= budget {
-        Verdict::Pass(format!(
-            "fault/wire ratio {now:.3} within budget {budget:.3} \
-             ({FAULT_RATIO_BUDGET_FACTOR}x '{baseline_label}' ratio {base:.3})"
-        ))
-    } else {
-        Verdict::Fail(format!(
-            "fault/wire ratio {now:.3} exceeds budget {budget:.3} \
-             ({FAULT_RATIO_BUDGET_FACTOR}x '{baseline_label}' ratio {base:.3}) — \
-             sim_fault_channel has regressed relative to pure-CPU work"
-        ))
+impl Check {
+    /// The detail fields this check reads.
+    pub(crate) fn fields(&self) -> Vec<&'static str> {
+        match *self {
+            Check::AtLeast(field, _) | Check::Equals(field, _) => vec![field],
+            Check::PercentOf { field, of, .. } => vec![field, of],
+        }
+    }
+
+    /// Whether the check holds, or `None` when a field is missing.
+    fn holds(&self, field: impl Fn(&str) -> Option<u64>) -> Option<bool> {
+        Some(match *self {
+            Check::AtLeast(name, min) => field(name)? >= min,
+            Check::Equals(name, want) => field(name)? == want,
+            Check::PercentOf { field: f, of, pct } => field(f)? * 100 >= field(of)? * pct,
+        })
     }
 }
 
-/// The anchored cost of one workload: its serial median over the
-/// `wire_roundtrip` serial median in the same entry.
-fn anchored_cost(entry: &Value, workload: &str) -> Option<f64> {
-    let cost = median_ns(entry, workload, "serial")?;
-    let wire = median_ns(entry, "wire_roundtrip", "serial")?;
-    (wire > 0).then(|| cost as f64 / wire as f64)
+impl std::fmt::Display for Check {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Check::AtLeast(field, min) => write!(f, "{field} >= {min}"),
+            Check::Equals(field, want) => write!(f, "{field} == {want}"),
+            Check::PercentOf { field, of, pct } => write!(f, "{field} >= {pct}% of {of}"),
+        }
+    }
 }
 
-/// Rule 3: scaling from 100k to 1M nodes must stay O(active work).
-///
-/// Compares the anchored costs of `sim_mesh_1m_sharded` and
-/// `sim_mesh_100k_sharded` within the *same* entry: the 1M mesh may
-/// cost at most [`SCALE_RATIO_BUDGET_FACTOR`] × the 100k mesh. No
-/// baseline entry is involved, so trajectory entries recorded before
-/// the 1M workload existed skip rather than fail.
-#[must_use]
-pub fn check_scale_ratio(entry: &Value) -> Verdict {
-    let (Some(big), Some(small)) = (
-        anchored_cost(entry, "sim_mesh_1m_sharded"),
-        anchored_cost(entry, "sim_mesh_100k_sharded"),
-    ) else {
-        return Verdict::Skip(
-            "entry lacks the sim_mesh_100k_sharded/sim_mesh_1m_sharded pair".to_string(),
+/// One guard rule: a row of [`RULES`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rule {
+    /// Stable rule name, printed in every verdict line.
+    pub name: &'static str,
+    /// The workload whose median is judged.
+    pub workload: &'static str,
+    /// `"serial"` or `"parallel"`: which pass's median is judged.
+    pub mode: &'static str,
+    /// What the median is divided by.
+    pub against: Against,
+    /// The largest ratio that passes.
+    pub budget: f64,
+    /// Cores the entry must record for the rule to be meaningful.
+    pub min_cores: u64,
+    /// Detail predicates on the workload, checked before the ratio.
+    pub detail: &'static [Check],
+    /// What a failure means, appended to the FAIL line.
+    pub regressed: &'static str,
+}
+
+/// Every guard rule, in the order `bench_guard` prints them.
+pub const RULES: [Rule; 5] = [
+    Rule {
+        name: "sharded-beats-serial",
+        workload: "sim_mesh_10k_sharded",
+        mode: "parallel",
+        against: Against::Workload("sim_mesh_10k", "serial"),
+        budget: 1.0,
+        min_cores: MIN_CORES_FOR_SHARD_CHECK,
+        detail: &[],
+        regressed: "sharding no longer beats the one-shard engine",
+    },
+    Rule {
+        name: "fault-channel-ratio",
+        workload: "sim_fault_channel",
+        mode: "serial",
+        against: Against::Baseline,
+        budget: FAULT_RATIO_BUDGET_FACTOR,
+        min_cores: 0,
+        detail: &[],
+        regressed: "sim_fault_channel has regressed relative to pure-CPU work",
+    },
+    Rule {
+        name: "scale-ratio-1m-vs-100k",
+        workload: "sim_mesh_1m_sharded",
+        mode: "serial",
+        against: Against::Workload("sim_mesh_100k_sharded", "serial"),
+        budget: SCALE_RATIO_BUDGET_FACTOR,
+        min_cores: 0,
+        detail: &[],
+        regressed: "per-window cost is scaling with topology size, not active work",
+    },
+    Rule {
+        name: "svc-allocation-run",
+        workload: "svc_alloc_1m",
+        mode: "serial",
+        against: Against::Anchor,
+        budget: SVC_ALLOC_RATIO_BUDGET,
+        min_cores: 0,
+        detail: &[Check::AtLeast("svc_allocs", SVC_ALLOC_FLOOR)],
+        regressed: "the allocator hot path has regressed or the run came up short",
+    },
+    Rule {
+        name: "dfa-adaptive-mac",
+        workload: "sim_dfa_saturated",
+        mode: "serial",
+        against: Against::Anchor,
+        budget: DFA_RATIO_BUDGET,
+        min_cores: 0,
+        detail: &[
+            Check::Equals("dfa_wilson_ok", 1),
+            Check::PercentOf {
+                field: "dfa_estimated_successes",
+                of: "dfa_known_successes",
+                pct: DFA_ESTIMATED_FLOOR_PCT,
+            },
+        ],
+        regressed: "the known-N closed form, the estimator-to-frame-size loop or the \
+                    DFA frame-step hot path has regressed",
+    },
+];
+
+impl Rule {
+    /// Evaluates the rule on `entry`, reading `baseline` (labelled
+    /// `baseline_label`) only for [`Against::Baseline`].
+    #[must_use]
+    pub fn evaluate(&self, entry: &Value, baseline: &Value, baseline_label: &str) -> Verdict {
+        let cores = recorded_cores(entry).unwrap_or(0);
+        if cores < self.min_cores {
+            return Verdict::Skip(format!(
+                "entry records {cores} core(s); {} needs at least {} to be meaningful",
+                self.name, self.min_cores
+            ));
+        }
+        let field = |name: &str| detail_field(entry, self.workload, name);
+        for check in self.detail {
+            match check.holds(field) {
+                None => {
+                    return Verdict::Skip(format!(
+                        "entry predates {}'s detail for {check}",
+                        self.workload
+                    ))
+                }
+                Some(false) => {
+                    let recorded: Vec<String> = check
+                        .fields()
+                        .into_iter()
+                        .map(|name| format!("{name} = {}", field(name).unwrap_or(0)))
+                        .collect();
+                    return Verdict::Fail(format!(
+                        "{} fails {check} ({}) — {}",
+                        self.workload,
+                        recorded.join(", "),
+                        self.regressed
+                    ));
+                }
+                Some(true) => {}
+            }
+        }
+        let (ratio, against) = match self.ratio(entry, baseline, baseline_label) {
+            Ok(measured) => measured,
+            Err(missing) => return Verdict::Skip(missing),
+        };
+        let checks: String = self.detail.iter().map(|c| format!("; {c} holds")).collect();
+        let line = format!(
+            "{} {} at {ratio:.3}x {against} (budget {}x){checks}",
+            self.workload, self.mode, self.budget
         );
-    };
-    if small <= 0.0 {
-        return Verdict::Skip("sim_mesh_100k_sharded anchored cost is zero".to_string());
+        if ratio <= self.budget {
+            Verdict::Pass(line)
+        } else {
+            Verdict::Fail(format!("{line} — {}", self.regressed))
+        }
     }
-    let multiple = big / small;
-    if multiple <= SCALE_RATIO_BUDGET_FACTOR {
-        Verdict::Pass(format!(
-            "1M mesh costs {multiple:.2}x the 100k mesh (anchored; budget \
-             {SCALE_RATIO_BUDGET_FACTOR}x)"
-        ))
-    } else {
-        Verdict::Fail(format!(
-            "1M mesh costs {multiple:.2}x the 100k mesh (anchored; budget \
-             {SCALE_RATIO_BUDGET_FACTOR}x) — per-window cost is scaling with \
-             topology size, not active work"
-        ))
-    }
-}
 
-/// A `svc_*` detail field (`svc_allocs`, `svc_busy`, …) recorded next
-/// to a service workload's timings by `bench_summary`.
-#[must_use]
-pub fn svc_field(entry: &Value, workload: &str, field: &str) -> Option<u64> {
-    entry
-        .get("workloads")?
-        .as_array()?
-        .iter()
-        .find(|w| w.get("name").and_then(Value::as_str) == Some(workload))?
-        .get(field)?
-        .as_u64()
-}
+    /// The workload's median over what it is measured against, with a
+    /// description of the latter; `Err` says which median is missing.
+    fn ratio(
+        &self,
+        entry: &Value,
+        baseline: &Value,
+        baseline_label: &str,
+    ) -> Result<(f64, String), String> {
+        let (other, mode) = match self.against {
+            Against::Anchor | Against::Baseline => (ANCHOR, "serial"),
+            Against::Workload(other, mode) => (other, mode),
+        };
+        let lacks = |e: &str| format!("{e} lacks the {}/{other} pair", self.workload);
+        let now = self
+            .over(entry, other, mode)
+            .ok_or_else(|| lacks("entry"))?;
+        if self.against != Against::Baseline {
+            return Ok((now, format!("{other} {mode}")));
+        }
+        let base = self
+            .over(baseline, other, mode)
+            .ok_or_else(|| lacks(&format!("baseline entry '{baseline_label}'")))?;
+        Ok((
+            now / base,
+            format!("its anchored cost in '{baseline_label}'"),
+        ))
+    }
 
-/// Rule 4: the `retrid` allocator service must have minted at least
-/// [`SVC_ALLOC_FLOOR`] identifiers in the recorded `svc_alloc_1m` run,
-/// at an anchored cost within [`SVC_ALLOC_RATIO_BUDGET`] of the
-/// `wire_roundtrip` anchor.
-#[must_use]
-pub fn check_svc_alloc(entry: &Value) -> Verdict {
-    let Some(allocs) = svc_field(entry, "svc_alloc_1m", "svc_allocs") else {
-        return Verdict::Skip("entry predates the svc_alloc_1m workload".to_string());
-    };
-    if allocs < SVC_ALLOC_FLOOR {
-        return Verdict::Fail(format!(
-            "svc_alloc_1m recorded only {allocs} allocations (floor {SVC_ALLOC_FLOOR})"
-        ));
-    }
-    let Some(cost) = anchored_cost(entry, "svc_alloc_1m") else {
-        return Verdict::Skip("entry lacks the svc_alloc_1m/wire_roundtrip pair".to_string());
-    };
-    if cost <= SVC_ALLOC_RATIO_BUDGET {
-        Verdict::Pass(format!(
-            "svc_alloc_1m minted {allocs} ids at {cost:.2}x wire_roundtrip \
-             (budget {SVC_ALLOC_RATIO_BUDGET}x)"
-        ))
-    } else {
-        Verdict::Fail(format!(
-            "svc_alloc_1m costs {cost:.2}x wire_roundtrip (budget \
-             {SVC_ALLOC_RATIO_BUDGET}x) — the allocator hot path has regressed"
-        ))
-    }
-}
-
-/// Rule 5: the adaptive MAC must close the RETRI loop.
-///
-/// Reads the `dfa_*` fields `bench_summary` records next to the
-/// `sim_dfa_saturated` timings. Three checks: the known-N run's
-/// observed per-attempt success rate must have contained the
-/// closed-form prediction (the recorded Wilson verdict), the
-/// density-estimated run must have kept at least
-/// [`DFA_ESTIMATED_FLOOR_PCT`]% of the known-N successes, and the
-/// workload's anchored cost must stay within [`DFA_RATIO_BUDGET`].
-/// Entries predating the workload skip.
-#[must_use]
-pub fn check_dfa_adaptive(entry: &Value) -> Verdict {
-    const WORKLOAD: &str = "sim_dfa_saturated";
-    let Some(known) = svc_field(entry, WORKLOAD, "dfa_known_successes") else {
-        return Verdict::Skip(format!("entry predates the {WORKLOAD} workload"));
-    };
-    if svc_field(entry, WORKLOAD, "dfa_wilson_ok") != Some(1) {
-        return Verdict::Fail(
-            "known-N DFA success rate no longer contains the closed-form \
-             (1 - 1/L)^(N-1) prediction (dfa_wilson_ok != 1)"
-                .to_string(),
-        );
-    }
-    let Some(estimated) = svc_field(entry, WORKLOAD, "dfa_estimated_successes") else {
-        return Verdict::Skip("entry lacks dfa_estimated_successes".to_string());
-    };
-    if estimated * 100 < known * DFA_ESTIMATED_FLOOR_PCT {
-        return Verdict::Fail(format!(
-            "density-estimated DFA recorded {estimated} successes vs known-N \
-             {known} — below the {DFA_ESTIMATED_FLOOR_PCT}% floor; the \
-             estimator-to-frame-size loop has regressed"
-        ));
-    }
-    let Some(cost) = anchored_cost(entry, WORKLOAD) else {
-        return Verdict::Skip(format!("entry lacks the {WORKLOAD}/wire_roundtrip pair"));
-    };
-    if cost <= DFA_RATIO_BUDGET {
-        Verdict::Pass(format!(
-            "estimated DFA at {:.1}% of known-N throughput, Wilson verdict \
-             holds, cost {cost:.2}x wire_roundtrip (budget {DFA_RATIO_BUDGET}x)",
-            estimated as f64 * 100.0 / known.max(1) as f64
-        ))
-    } else {
-        Verdict::Fail(format!(
-            "{WORKLOAD} costs {cost:.2}x wire_roundtrip (budget \
-             {DFA_RATIO_BUDGET}x) — the DFA frame-step hot path has regressed"
-        ))
+    /// This rule's median over `(other, mode)`'s in the same entry.
+    fn over(&self, entry: &Value, other: &str, mode: &str) -> Option<f64> {
+        let ns = |name, mode| median_ns(entry, name, mode).filter(|&ns| ns > 0);
+        Some(ns(self.workload, self.mode)? as f64 / ns(other, mode)? as f64)
     }
 }
 
@@ -415,21 +431,27 @@ pub fn run_all(
     baseline: &Value,
     baseline_label: &str,
 ) -> Vec<(&'static str, Verdict)> {
-    vec![
-        ("sharded-beats-serial", check_sharded_beats_serial(entry)),
-        (
-            "fault-channel-ratio",
-            check_fault_ratio(entry, baseline, baseline_label),
-        ),
-        ("scale-ratio-1m-vs-100k", check_scale_ratio(entry)),
-        ("svc-allocation-run", check_svc_alloc(entry)),
-        ("dfa-adaptive-mac", check_dfa_adaptive(entry)),
-    ]
+    RULES
+        .iter()
+        .map(|rule| (rule.name, rule.evaluate(entry, baseline, baseline_label)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rule(name: &str) -> &'static Rule {
+        RULES
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("no rule {name}"))
+    }
+
+    /// A rule that reads no baseline, evaluated on `entry` alone.
+    fn check(name: &str, entry: &Value) -> Verdict {
+        rule(name).evaluate(entry, entry, "self")
+    }
 
     fn measurement(median_ms: u64) -> Value {
         Value::Object(vec![(
@@ -464,7 +486,7 @@ mod tests {
                 workload("sim_mesh_10k_sharded", 900, 700),
             ],
         );
-        assert_eq!(check_sharded_beats_serial(&e).label(), "PASS");
+        assert_eq!(check("sharded-beats-serial", &e).label(), "PASS");
     }
 
     #[test]
@@ -478,7 +500,7 @@ mod tests {
                 workload("sim_mesh_10k_sharded", 2452, 3009),
             ],
         );
-        assert!(check_sharded_beats_serial(&e).is_fail());
+        assert!(check("sharded-beats-serial", &e).is_fail());
     }
 
     #[test]
@@ -491,7 +513,7 @@ mod tests {
                 workload("sim_mesh_10k_sharded", 9000, 9000),
             ],
         );
-        assert_eq!(check_sharded_beats_serial(&e).label(), "SKIP");
+        assert_eq!(check("sharded-beats-serial", &e).label(), "SKIP");
     }
 
     #[test]
@@ -504,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_ratio_catches_the_pr5_regression_but_not_pr4() {
+    fn fault_channel_rule_catches_the_pr5_regression_but_not_pr4() {
         // pr4-obs: fault 313 ms, wire 1380 ms. pr5: fault 10154 ms,
         // wire 1402 ms.
         let pr4 = entry(
@@ -523,8 +545,15 @@ mod tests {
                 workload("wire_roundtrip", 1402, 1680),
             ],
         );
-        assert_eq!(check_fault_ratio(&pr4, &pr4, "pr4-obs").label(), "PASS");
-        assert!(check_fault_ratio(&pr5, &pr4, "pr4-obs").is_fail());
+        assert_eq!(
+            rule("fault-channel-ratio")
+                .evaluate(&pr4, &pr4, "pr4-obs")
+                .label(),
+            "PASS"
+        );
+        assert!(rule("fault-channel-ratio")
+            .evaluate(&pr5, &pr4, "pr4-obs")
+            .is_fail());
         // A machine half as fast scales both medians together: still
         // within budget.
         let slow = entry(
@@ -535,7 +564,12 @@ mod tests {
                 workload("wire_roundtrip", 2760, 2712),
             ],
         );
-        assert_eq!(check_fault_ratio(&slow, &pr4, "pr4-obs").label(), "PASS");
+        assert_eq!(
+            rule("fault-channel-ratio")
+                .evaluate(&slow, &pr4, "pr4-obs")
+                .label(),
+            "PASS"
+        );
     }
 
     #[test]
@@ -549,9 +583,19 @@ mod tests {
                 workload("wire_roundtrip", 1380, 1356),
             ],
         );
-        assert_eq!(check_sharded_beats_serial(&empty).label(), "SKIP");
-        assert_eq!(check_fault_ratio(&empty, &full, "full").label(), "SKIP");
-        assert_eq!(check_fault_ratio(&full, &empty, "empty").label(), "SKIP");
+        assert_eq!(check("sharded-beats-serial", &empty).label(), "SKIP");
+        assert_eq!(
+            rule("fault-channel-ratio")
+                .evaluate(&empty, &full, "full")
+                .label(),
+            "SKIP"
+        );
+        assert_eq!(
+            rule("fault-channel-ratio")
+                .evaluate(&full, &empty, "empty")
+                .label(),
+            "SKIP"
+        );
         for (_, verdict) in run_all(&empty, &empty, "empty") {
             assert!(!verdict.is_fail());
         }
@@ -568,7 +612,7 @@ mod tests {
                 workload("sim_mesh_1m_sharded", 5600, 5600),
             ],
         );
-        let verdict = check_scale_ratio(&lean);
+        let verdict = check("scale-ratio-1m-vs-100k", &lean);
         assert_eq!(verdict.label(), "PASS", "{}", verdict.detail());
 
         // O(topology)-per-window shape: 10x the nodes, ~30x the cost.
@@ -581,7 +625,7 @@ mod tests {
                 workload("sim_mesh_1m_sharded", 84_000, 84_000),
             ],
         );
-        assert!(check_scale_ratio(&bloated).is_fail());
+        assert!(check("scale-ratio-1m-vs-100k", &bloated).is_fail());
     }
 
     #[test]
@@ -594,7 +638,7 @@ mod tests {
                 workload("sim_mesh_100k_sharded", 2800, 2800),
             ],
         );
-        assert_eq!(check_scale_ratio(&old).label(), "SKIP");
+        assert_eq!(check("scale-ratio-1m-vs-100k", &old).label(), "SKIP");
         for (_, verdict) in run_all(&old, &old, "pr6-shard-fix") {
             assert!(!verdict.is_fail());
         }
@@ -613,7 +657,7 @@ mod tests {
                 workload("sim_mesh_1m_sharded", 16_800, 16_800),
             ],
         );
-        assert_eq!(check_scale_ratio(&slow).label(), "PASS");
+        assert_eq!(check("scale-ratio-1m-vs-100k", &slow).label(), "PASS");
     }
 
     fn svc_workload(name: &str, serial_ms: u64, allocs: u64) -> Value {
@@ -635,7 +679,7 @@ mod tests {
                 svc_workload("svc_alloc_1m", 150, 1_000_000),
             ],
         );
-        let verdict = check_svc_alloc(&good);
+        let verdict = check("svc-allocation-run", &good);
         assert_eq!(verdict.label(), "PASS", "{}", verdict.detail());
 
         // A lock or allocation on the mint hot path: 1M ids now cost
@@ -648,7 +692,7 @@ mod tests {
                 svc_workload("svc_alloc_1m", 1_200, 1_000_000),
             ],
         );
-        assert!(check_svc_alloc(&slow).is_fail());
+        assert!(check("svc-allocation-run", &slow).is_fail());
 
         // A run that silently minted less than the floor.
         let short = entry(
@@ -659,31 +703,31 @@ mod tests {
                 svc_workload("svc_alloc_1m", 20, 40_000),
             ],
         );
-        assert!(check_svc_alloc(&short).is_fail());
+        assert!(check("svc-allocation-run", &short).is_fail());
     }
 
     #[test]
     fn svc_rule_skips_entries_predating_the_service() {
         let old = entry("pr7-scale", 1, vec![workload("wire_roundtrip", 370, 370)]);
-        assert_eq!(check_svc_alloc(&old).label(), "SKIP");
+        assert_eq!(check("svc-allocation-run", &old).label(), "SKIP");
         for (_, verdict) in run_all(&old, &old, "pr7-scale") {
             assert!(!verdict.is_fail());
         }
     }
 
     #[test]
-    fn svc_fields_read_back_from_the_entry() {
+    fn detail_fields_read_back_from_the_entry() {
         let e = entry(
             "x",
             1,
             vec![svc_workload("svc_alloc_contended", 30, 200_000)],
         );
         assert_eq!(
-            svc_field(&e, "svc_alloc_contended", "svc_allocs"),
+            detail_field(&e, "svc_alloc_contended", "svc_allocs"),
             Some(200_000)
         );
-        assert_eq!(svc_field(&e, "svc_alloc_contended", "svc_busy"), Some(0));
-        assert_eq!(svc_field(&e, "svc_alloc_1m", "svc_allocs"), None);
+        assert_eq!(detail_field(&e, "svc_alloc_contended", "svc_busy"), Some(0));
+        assert_eq!(detail_field(&e, "svc_alloc_1m", "svc_allocs"), None);
     }
 
     fn dfa_workload(serial_ms: u64, known: u64, estimated: u64, wilson_ok: u64) -> Value {
@@ -707,7 +751,7 @@ mod tests {
             1,
             vec![anchor.clone(), dfa_workload(230, 5700, 5500, 1)],
         );
-        let verdict = check_dfa_adaptive(&good);
+        let verdict = check("dfa-adaptive-mac", &good);
         assert_eq!(verdict.label(), "PASS", "{}", verdict.detail());
 
         // The estimator loop breaks: frames stuck at the warm-up floor.
@@ -716,7 +760,7 @@ mod tests {
             1,
             vec![anchor.clone(), dfa_workload(230, 5700, 2400, 1)],
         );
-        assert!(check_dfa_adaptive(&stuck).is_fail());
+        assert!(check("dfa-adaptive-mac", &stuck).is_fail());
 
         // The engine drifts off the closed form.
         let skewed = entry(
@@ -724,18 +768,18 @@ mod tests {
             1,
             vec![anchor.clone(), dfa_workload(230, 5700, 5500, 0)],
         );
-        assert!(check_dfa_adaptive(&skewed).is_fail());
+        assert!(check("dfa-adaptive-mac", &skewed).is_fail());
 
         // Per-slot work creeps into the frame step: anchored cost blows
         // past the budget.
         let slow = entry("slow", 1, vec![anchor, dfa_workload(2_000, 5700, 5500, 1)]);
-        assert!(check_dfa_adaptive(&slow).is_fail());
+        assert!(check("dfa-adaptive-mac", &slow).is_fail());
     }
 
     #[test]
     fn dfa_rule_skips_entries_predating_the_workload() {
         let old = entry("pr9-service", 1, vec![workload("wire_roundtrip", 370, 370)]);
-        assert_eq!(check_dfa_adaptive(&old).label(), "SKIP");
+        assert_eq!(check("dfa-adaptive-mac", &old).label(), "SKIP");
         for (_, verdict) in run_all(&old, &old, "pr9-service") {
             assert!(!verdict.is_fail());
         }
@@ -774,5 +818,65 @@ mod tests {
         )]);
         assert_eq!(find_entry(&doc, "b").and_then(recorded_cores), Some(2));
         assert!(find_entry(&doc, "missing").is_none());
+    }
+
+    #[test]
+    fn committed_trajectory_replays_to_the_pinned_verdicts() {
+        // Labels the five hand-written rules gave every committed entry
+        // against CI's baseline before they became table rows. A newly
+        // recorded entry needs a row here: its verdicts are pinned too.
+        const EXPECTED: [(&str, [&str; 5]); 8] = [
+            ("pr2-pre-opt", ["SKIP", "SKIP", "SKIP", "SKIP", "SKIP"]),
+            ("pr2-post-opt", ["SKIP", "SKIP", "SKIP", "SKIP", "SKIP"]),
+            ("pr4-obs", ["SKIP", "PASS", "SKIP", "SKIP", "SKIP"]),
+            ("pr5-sharded", ["SKIP", "FAIL", "SKIP", "SKIP", "SKIP"]),
+            ("pr6-shard-fix", ["SKIP", "PASS", "SKIP", "SKIP", "SKIP"]),
+            ("pr7-scale", ["SKIP", "PASS", "PASS", "SKIP", "SKIP"]),
+            ("pr9-service", ["SKIP", "PASS", "PASS", "PASS", "SKIP"]),
+            ("pr10-dfa", ["SKIP", "PASS", "PASS", "PASS", "PASS"]),
+        ];
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_netsim.json");
+        let text = std::fs::read_to_string(path).expect("committed trajectory");
+        let doc = serde_json::from_str(&text).expect("valid JSON");
+        let baseline = find_entry(&doc, "pr6-shard-fix").expect("CI baseline");
+        let entries = doc
+            .get("entries")
+            .and_then(Value::as_array)
+            .expect("entries");
+        assert_eq!(entries.len(), EXPECTED.len());
+        for (entry, (label, labels)) in entries.iter().zip(EXPECTED) {
+            assert_eq!(entry.get("label").and_then(Value::as_str), Some(label));
+            let verdicts = run_all(entry, baseline, "pr6-shard-fix");
+            let got: Vec<&str> = verdicts.iter().map(|(_, v)| v.label()).collect();
+            assert_eq!(got, labels, "{label}: {verdicts:?}");
+        }
+    }
+
+    #[test]
+    fn speedups_compare_only_within_one_effort() {
+        let at = |label: &str, effort: &str| {
+            Value::Object(vec![
+                ("label".to_string(), Value::String(label.to_string())),
+                ("effort".to_string(), Value::String(effort.to_string())),
+            ])
+        };
+        fn label(e: Option<&Value>) -> Option<&str> {
+            e?.get("label")?.as_str()
+        }
+        let entries = [at("a", "full"), at("b", "quick"), at("c", "full")];
+        // Quick after full: skips the full entry for the earlier quick one.
+        assert_eq!(
+            label(latest_same_effort(&entries, &at("new", "quick"))),
+            Some("b")
+        );
+        // Full after quick.
+        assert_eq!(
+            label(latest_same_effort(&entries[..2], &at("new", "full"))),
+            Some("a")
+        );
+        // No entry of the same effort; re-recording a label never
+        // compares the entry with its own previous version.
+        assert_eq!(latest_same_effort(&entries[..1], &at("new", "quick")), None);
+        assert_eq!(latest_same_effort(&entries[..2], &at("b", "quick")), None);
     }
 }

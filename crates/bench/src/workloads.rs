@@ -32,15 +32,18 @@
 //!   strategy on the in-process transport, and a smaller TCP run with
 //!   concurrent clients against deliberately shallow shard queues so
 //!   BUSY shedding is on the measured path. Next to the timing, these
-//!   record throughput and latency detail (allocations/sec, p99) via
-//!   [`svc_detail`].
+//!   return throughput and latency detail (allocations/sec, p99).
+//!
+//! A workload body returns its [`Detail`]: the named fields
+//! `bench_summary` records next to the timings and `bench_guard`'s
+//! rules read back. [`measure`] keeps the detail of the last trial of
+//! the last timed rep, whatever the worker count.
 //!
 //! Regenerate the trajectory file with
 //! `cargo run -p retri-bench --release --bin bench_summary` (see the
 //! Performance section of EXPERIMENTS.md for the schema).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -58,8 +61,13 @@ use retri_obs::Obs;
 use retri_service::{
     run_load, LoadPlan, LoadReport, Server, ServiceConfig, ServiceHandle, TcpClient,
 };
+use serde_json::Value;
 
 use crate::harness::{run_trials, trial_seed};
+
+/// A workload's detail: ordered `(field, value)` pairs recorded next to
+/// its timings. Empty for workloads with nothing beyond wall-clock.
+pub type Detail = Vec<(&'static str, Value)>;
 
 /// One named workload: a deterministic trial body plus its batch shape.
 pub struct Workload {
@@ -79,7 +87,7 @@ pub struct Workload {
     /// trajectory entry carries an explicit `skipped` marker for these
     /// instead of recording a silently meaningless comparison.
     pub sharded: bool,
-    run: fn(seed: u64, quick: bool),
+    run: fn(seed: u64, quick: bool) -> Detail,
 }
 
 /// A workload's measured batch wall-clock under one worker setting.
@@ -89,6 +97,8 @@ pub struct Measurement {
     pub samples_ns: Vec<u64>,
     /// Median of `samples_ns`.
     pub median_ns: u64,
+    /// The detail returned by the last trial of the last rep.
+    pub detail: Detail,
 }
 
 /// The fixed workload set, in recording order.
@@ -200,7 +210,9 @@ pub fn all() -> Vec<Workload> {
 
 /// Runs one workload's batch `reps` times under the current
 /// `RETRI_BENCH_WORKERS` setting and returns the per-rep wall-clocks
-/// with their median.
+/// with their median, plus the detail of the last trial of the last
+/// rep (trial order, not completion order, so any worker count records
+/// the same trial).
 ///
 /// The workload body runs once, untimed, before the timed reps, so
 /// lazily built shared state (the cached 10k/100k/1M mesh topologies)
@@ -210,14 +222,16 @@ pub fn measure(workload: &Workload, quick: bool, reps: usize) -> Measurement {
     assert!(reps >= 1, "at least one repetition required");
     (workload.run)(trial_seed(workload.name, 0, 0), quick);
     let mut samples_ns: Vec<u64> = Vec::with_capacity(reps);
+    let mut detail = Detail::new();
     for _ in 0..reps {
         let started = Instant::now();
-        let cells = [()];
-        let runs = run_trials(workload.name, workload.trials, &cells, |(), trial| {
-            (workload.run)(trial.seed, quick);
+        let mut runs = run_trials(workload.name, workload.trials, &[()], |(), trial| {
+            (workload.run)(trial.seed, quick)
         });
         let elapsed = started.elapsed().as_nanos() as u64;
-        assert_eq!(runs[0].values.len(), workload.trials as usize);
+        let mut values = runs.pop().expect("one cell").values;
+        assert_eq!(values.len(), workload.trials as usize);
+        detail = values.pop().expect("at least one trial");
         samples_ns.push(elapsed);
     }
     let mut sorted = samples_ns.clone();
@@ -225,6 +239,7 @@ pub fn measure(workload: &Workload, quick: bool, reps: usize) -> Measurement {
     Measurement {
         median_ns: sorted[sorted.len() / 2],
         samples_ns,
+        detail,
     }
 }
 
@@ -255,7 +270,7 @@ impl Protocol for Saturator {
     }
 }
 
-fn sim_dense_mesh(seed: u64, quick: bool) {
+fn sim_dense_mesh(seed: u64, quick: bool) -> Detail {
     // ALOHA, not CSMA: with carrier sense the mesh serializes onto one
     // transmission at a time and the benchmark measures the event heap.
     // Without it, all 32 radios keep overlapping transmissions on the
@@ -273,9 +288,10 @@ fn sim_dense_mesh(seed: u64, quick: bool) {
     sim.run_until(SimTime::from_secs(sim_secs));
     assert!(sim.stats().frames_sent > 0);
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
-fn sim_dense_mesh_obs(seed: u64, quick: bool) {
+fn sim_dense_mesh_obs(seed: u64, quick: bool) -> Detail {
     // The obs-overhead probe: byte-for-byte the `sim_dense_mesh_32`
     // workload plus a live metrics registry (counters, per-reason drop
     // accounting, energy gauges, airtime spans). The trajectory entry
@@ -300,9 +316,10 @@ fn sim_dense_mesh_obs(seed: u64, quick: bool) {
         "recorded metrics must mirror the native counters"
     );
     std::hint::black_box(snapshot);
+    Detail::new()
 }
 
-fn sim_hidden_triple(seed: u64, quick: bool) {
+fn sim_hidden_triple(seed: u64, quick: bool) -> Detail {
     let sim_secs = if quick { 60 } else { 240 };
     let mut sim = SimBuilder::new(seed)
         .mac(MacConfig::csma())
@@ -318,6 +335,7 @@ fn sim_hidden_triple(seed: u64, quick: bool) {
     let _ = (a, r, b);
     sim.run_until(SimTime::from_secs(sim_secs));
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
 /// Staggered periodic senders on a big, mostly disconnected grid.
@@ -335,7 +353,7 @@ impl Protocol for SparseSender {
     }
 }
 
-fn sim_sparse_grid(seed: u64, quick: bool) {
+fn sim_sparse_grid(seed: u64, quick: bool) -> Detail {
     let sim_secs = if quick { 20 } else { 60 };
     let mut sim = SimBuilder::new(seed).range(60.0).build(|_| SparseSender);
     let topo = Topology::grid(20, 20, 50.0, 60.0);
@@ -344,9 +362,10 @@ fn sim_sparse_grid(seed: u64, quick: bool) {
     }
     sim.run_until(SimTime::from_secs(sim_secs));
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
-fn sim_fault_channel(seed: u64, quick: bool) {
+fn sim_fault_channel(seed: u64, quick: bool) -> Detail {
     // The Section 5.1 testbed with every delivery additionally judged by
     // a bursty Gilbert-Elliott channel: exercises the fault RNG stream,
     // per-bit corruption, and the receiver's reject paths together.
@@ -365,6 +384,7 @@ fn sim_fault_channel(seed: u64, quick: bool) {
     let result = testbed.run(seed);
     assert!(result.truth_delivered > 0);
     std::hint::black_box(result);
+    Detail::new()
 }
 
 /// Contenders in the DFA saturation clique (and therefore the optimal
@@ -460,10 +480,11 @@ fn dfa_clique_run(seed: u64, sim_secs: u64, mac: MacConfig) -> (MediumStats, Dfa
 /// CSMA, and pure ALOHA. A 12-byte payload (3.6 ms airtime) fits the
 /// 4 ms slot, so the run is an exact slotted model and the known-N
 /// per-attempt success rate must sit inside the 99% Wilson interval of
-/// the closed form (1 - 1/L)^(N-1). The recorded [`DfaDetail`] carries
-/// that verdict plus the known-vs-estimated success counts the
-/// `bench_guard` adaptive-MAC rule enforces.
-fn sim_dfa_saturated(seed: u64, quick: bool) {
+/// the closed form (1 - 1/L)^(N-1). The returned detail carries that
+/// verdict (`dfa_wilson_ok`, 0 or 1) plus the known-vs-estimated
+/// success counts the `bench_guard` adaptive-MAC rule enforces, and
+/// each MAC's per-receiver deliveries.
+fn sim_dfa_saturated(seed: u64, quick: bool) -> Detail {
     let sim_secs = if quick { 15 } else { 60 };
     let slot = SimDuration::from_millis(4);
     let (known_stats, known) =
@@ -475,18 +496,21 @@ fn sim_dfa_saturated(seed: u64, quick: bool) {
     let n = u64::from(DFA_CLIQUE);
     let predicted = retri_model::dfa::attempt_success_probability(n, n);
     let wilson = WilsonInterval::of(known.successes, known.attempts(), Z_99);
-    record_dfa_detail(DfaDetail {
-        known_attempts: known.attempts(),
-        known_successes: known.successes,
-        estimated_attempts: estimated.attempts(),
-        estimated_successes: estimated.successes,
-        wilson_ok: predicted >= wilson.low && predicted <= wilson.high,
-        known_deliveries: known_stats.deliveries,
-        estimated_deliveries: estimated_stats.deliveries,
-        csma_deliveries: csma_stats.deliveries,
-        aloha_deliveries: aloha_stats.deliveries,
-    });
-    std::hint::black_box((known_stats, estimated_stats, csma_stats, aloha_stats));
+    let wilson_ok = predicted >= wilson.low && predicted <= wilson.high;
+    vec![
+        ("dfa_known_attempts", Value::UInt(known.attempts())),
+        ("dfa_known_successes", Value::UInt(known.successes)),
+        ("dfa_estimated_attempts", Value::UInt(estimated.attempts())),
+        ("dfa_estimated_successes", Value::UInt(estimated.successes)),
+        ("dfa_wilson_ok", Value::UInt(u64::from(wilson_ok))),
+        ("dfa_known_deliveries", Value::UInt(known_stats.deliveries)),
+        (
+            "dfa_estimated_deliveries",
+            Value::UInt(estimated_stats.deliveries),
+        ),
+        ("dfa_csma_deliveries", Value::UInt(csma_stats.deliveries)),
+        ("dfa_aloha_deliveries", Value::UInt(aloha_stats.deliveries)),
+    ]
 }
 
 /// A periodic sender for the 10k-node mesh: each node's phase is
@@ -532,9 +556,10 @@ fn run_mesh_10k(seed: u64, quick: bool, shards: usize, trace: bool) -> ShardedSi
     sim
 }
 
-fn sim_mesh_10k_serial(seed: u64, quick: bool) {
+fn sim_mesh_10k_serial(seed: u64, quick: bool) -> Detail {
     let sim = run_mesh_10k(seed, quick, 1, false);
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
 /// Shard count for the `sim_mesh_10k_sharded` workload:
@@ -550,9 +575,10 @@ pub fn sharded_workload_shards() -> usize {
         .unwrap_or(4)
 }
 
-fn sim_mesh_10k_sharded(seed: u64, quick: bool) {
+fn sim_mesh_10k_sharded(seed: u64, quick: bool) -> Detail {
     let sim = run_mesh_10k(seed, quick, sharded_workload_shards(), false);
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
 /// The 100k-node topology for the scale workload: a 400x250 grid with
@@ -566,7 +592,7 @@ fn mesh_100k_topology() -> &'static Topology {
 /// the ROADMAP's 100k–1M-node target. Short simulated horizons keep
 /// the batch minutes-scale: the point of the workload is that 100k
 /// nodes *complete* and their throughput is recorded, not a long soak.
-fn sim_mesh_100k_sharded(seed: u64, quick: bool) {
+fn sim_mesh_100k_sharded(seed: u64, quick: bool) -> Detail {
     let sim_millis = if quick { 500 } else { 2_000 };
     let mut sim = ShardedSimBuilder::new(seed)
         .mac(MacConfig::aloha())
@@ -576,6 +602,7 @@ fn sim_mesh_100k_sharded(seed: u64, quick: bool) {
     sim.run_until(SimTime::from_millis(sim_millis));
     assert!(sim.stats().frames_sent > 0);
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
 /// A one-shot sender for the million-node grid: each node transmits a
@@ -612,7 +639,7 @@ fn mesh_1m_topology() -> &'static Topology {
 /// traffic, and that its peak memory is recorded; the `bench_guard`
 /// scale rule then pins the 1M/100k cost multiple against the
 /// `wire_roundtrip` anchor.
-fn sim_mesh_1m_sharded(seed: u64, quick: bool) {
+fn sim_mesh_1m_sharded(seed: u64, quick: bool) -> Detail {
     let sim_millis = if quick { 150 } else { 1_000 };
     let mut sim = ShardedSimBuilder::new(seed)
         .mac(MacConfig::aloha())
@@ -622,6 +649,7 @@ fn sim_mesh_1m_sharded(seed: u64, quick: bool) {
     sim.run_until(SimTime::from_millis(sim_millis));
     assert!(sim.stats().frames_sent > 0);
     std::hint::black_box(sim.stats());
+    Detail::new()
 }
 
 /// Everything `scale_smoke` needs to prove shard-count invariance: a
@@ -669,7 +697,7 @@ pub fn mesh_10k_digest(seed: u64, quick: bool, shards: usize) -> MeshDigest {
     }
 }
 
-fn selector_churn(seed: u64, quick: bool) {
+fn selector_churn(seed: u64, quick: bool) -> Detail {
     let selections: u64 = if quick { 50_000 } else { 200_000 };
     let space = IdentifierSpace::new(9).expect("valid width");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -682,9 +710,10 @@ fn selector_churn(seed: u64, quick: bool) {
         adaptive.observe_at(other, tick);
         std::hint::black_box((id, other));
     }
+    Detail::new()
 }
 
-fn wire_roundtrip(seed: u64, quick: bool) {
+fn wire_roundtrip(seed: u64, quick: bool) -> Detail {
     let round_trips: u64 = if quick { 10_000 } else { 40_000 };
     let space = IdentifierSpace::new(8).expect("valid width");
     let wire = WireConfig::aff(space);
@@ -704,100 +733,19 @@ fn wire_roundtrip(seed: u64, quick: bool) {
         assert!(out.is_some(), "round trip must deliver the packet");
         std::hint::black_box(out);
     }
+    Detail::new()
 }
 
-/// Throughput/latency detail from the latest run of one `svc_*`
-/// workload — the numbers the trajectory schema records next to the
-/// batch wall-clock (`bench_summary` writes them as `svc_allocs`,
-/// `svc_allocs_per_sec`, `svc_p99_latency_ns`, `svc_busy`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SvcDetail {
-    /// Identifiers minted in the run.
-    pub allocs: u64,
-    /// BUSY replies shed by the server (0 on the in-process transport).
-    pub busy: u64,
-    /// Median per-request latency, nanoseconds (worst client).
-    pub p50_latency_ns: u64,
-    /// 99th-percentile per-request latency, nanoseconds (worst client).
-    pub p99_latency_ns: u64,
-    /// Allocations per second over the run's wall-clock.
-    pub allocs_per_sec: f64,
-}
-
-/// Side-channel from the `svc_*` workload bodies to `bench_summary`:
-/// the `Workload::run` signature only times, so the service workloads
-/// deposit their [`LoadReport`]-derived detail here, keyed by workload
-/// name. Each run overwrites its slot — the recorded detail is from
-/// the last rep of the last pass.
-fn svc_details() -> &'static Mutex<HashMap<&'static str, SvcDetail>> {
-    static DETAILS: OnceLock<Mutex<HashMap<&'static str, SvcDetail>>> = OnceLock::new();
-    DETAILS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The latest recorded detail for one `svc_*` workload, if it has run
-/// in this process.
-#[must_use]
-pub fn svc_detail(name: &str) -> Option<SvcDetail> {
-    svc_details()
-        .lock()
-        .expect("svc detail lock")
-        .get(name)
-        .copied()
-}
-
-fn record_svc_detail(name: &'static str, detail: SvcDetail) {
-    svc_details()
-        .lock()
-        .expect("svc detail lock")
-        .insert(name, detail);
-}
-
-/// Adaptive-MAC detail from the latest `sim_dfa_saturated` run — the
-/// numbers `bench_summary` records next to the batch wall-clock (as
-/// `dfa_known_successes`, `dfa_estimated_successes`, `dfa_wilson_ok`,
-/// …) and the `bench_guard` adaptive-MAC rule reads back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DfaDetail {
-    /// Known-N frame attempts with a recorded verdict.
-    pub known_attempts: u64,
-    /// Known-N successful (uncollided) transmissions.
-    pub known_successes: u64,
-    /// Density-estimated frame attempts with a recorded verdict.
-    pub estimated_attempts: u64,
-    /// Density-estimated successful transmissions.
-    pub estimated_successes: u64,
-    /// Whether the closed-form per-attempt success probability
-    /// (1 - 1/L)^(N-1) sits inside the 99% Wilson interval of the
-    /// known-N run's observed rate.
-    pub wilson_ok: bool,
-    /// Per-receiver deliveries under DFA known-N.
-    pub known_deliveries: u64,
-    /// Per-receiver deliveries under DFA estimated-N.
-    pub estimated_deliveries: u64,
-    /// Per-receiver deliveries under CSMA (same clique, same horizon).
-    pub csma_deliveries: u64,
-    /// Per-receiver deliveries under pure ALOHA.
-    pub aloha_deliveries: u64,
-}
-
-/// Side-channel from the `sim_dfa_saturated` body to `bench_summary`,
-/// mirroring [`svc_detail`]: overwritten by each run, so the recorded
-/// detail is from the last rep of the last pass — and deterministic,
-/// because the harness derives trial seeds from the workload name.
-fn dfa_details() -> &'static Mutex<Option<DfaDetail>> {
-    static DETAILS: OnceLock<Mutex<Option<DfaDetail>>> = OnceLock::new();
-    DETAILS.get_or_init(|| Mutex::new(None))
-}
-
-/// The latest recorded adaptive-MAC detail, if `sim_dfa_saturated` has
-/// run in this process.
-#[must_use]
-pub fn dfa_detail() -> Option<DfaDetail> {
-    *dfa_details().lock().expect("dfa detail lock")
-}
-
-fn record_dfa_detail(detail: DfaDetail) {
-    *dfa_details().lock().expect("dfa detail lock") = Some(detail);
+/// A load report as service detail: allocations, BUSY sheds, worst
+/// p50/p99 latency and allocations per second.
+fn load_detail(report: &LoadReport) -> Detail {
+    vec![
+        ("svc_allocs", Value::UInt(report.allocs)),
+        ("svc_busy", Value::UInt(report.busy)),
+        ("svc_p50_latency_ns", Value::UInt(report.p50_latency_ns)),
+        ("svc_p99_latency_ns", Value::UInt(report.p99_latency_ns)),
+        ("svc_allocs_per_sec", Value::Float(report.allocs_per_sec())),
+    ]
 }
 
 /// The acceptance run: one million identifier allocations across every
@@ -806,24 +754,14 @@ fn record_dfa_detail(detail: DfaDetail) {
 /// `--quick` — "retrid serves ≥ 1M allocations in a single recorded
 /// run" is the property the trajectory entry exists to record, and at
 /// in-process speed the full run is cheap anyway.
-fn svc_alloc_1m(seed: u64, _quick: bool) {
+fn svc_alloc_1m(seed: u64, _quick: bool) -> Detail {
     let mut config = ServiceConfig::new(seed);
     config.shards = 4;
     let mut handle = ServiceHandle::new(&config);
     let plan = LoadPlan::new(1_000_000);
     let report = run_load(&mut handle, &plan).expect("in-process transport cannot fail");
     assert_eq!(report.allocs, 1_000_000, "short allocation run");
-    record_svc_detail(
-        "svc_alloc_1m",
-        SvcDetail {
-            allocs: report.allocs,
-            busy: report.busy,
-            p50_latency_ns: report.p50_latency_ns,
-            p99_latency_ns: report.p99_latency_ns,
-            allocs_per_sec: report.allocs_per_sec(),
-        },
-    );
-    std::hint::black_box(report);
+    load_detail(&report)
 }
 
 /// The contended run: the full TCP stack — framing, per-connection
@@ -831,7 +769,7 @@ fn svc_alloc_1m(seed: u64, _quick: bool) {
 /// whose combined demand overwhelms two depth-2 queues, so BUSY
 /// shedding and retry are part of the measured path (the recorded
 /// `svc_busy` count proves the backpressure fired, not just existed).
-fn svc_alloc_contended(seed: u64, quick: bool) {
+fn svc_alloc_contended(seed: u64, quick: bool) -> Detail {
     const CLIENTS: u64 = 4;
     let total: u64 = if quick { 40_000 } else { 200_000 };
     let mut config = ServiceConfig::new(seed);
@@ -858,29 +796,26 @@ fn svc_alloc_contended(seed: u64, quick: bool) {
             .collect()
     });
     server.shutdown();
-    let allocs: u64 = reports.iter().map(|r| r.allocs).sum();
-    assert_eq!(allocs, per_client * CLIENTS, "short allocation run");
-    let slowest_ns = reports.iter().map(|r| r.elapsed_ns).max().unwrap_or(0);
-    record_svc_detail(
-        "svc_alloc_contended",
-        SvcDetail {
-            allocs,
-            busy: reports.iter().map(|r| r.busy).sum(),
-            p50_latency_ns: reports.iter().map(|r| r.p50_latency_ns).max().unwrap_or(0),
-            p99_latency_ns: reports.iter().map(|r| r.p99_latency_ns).max().unwrap_or(0),
-            allocs_per_sec: if slowest_ns == 0 {
-                0.0
-            } else {
-                allocs as f64 * 1e9 / slowest_ns as f64
-            },
-        },
-    );
-    std::hint::black_box(reports);
+    // Totals across clients, the worst client's latencies, and
+    // throughput over the slowest client's wall-clock.
+    let worst = |latency: fn(&LoadReport) -> u64| reports.iter().map(latency).max().unwrap_or(0);
+    let total = LoadReport {
+        allocs: reports.iter().map(|r| r.allocs).sum(),
+        requests: reports.iter().map(|r| r.requests).sum(),
+        busy: reports.iter().map(|r| r.busy).sum(),
+        elapsed_ns: worst(|r| r.elapsed_ns),
+        p50_latency_ns: worst(|r| r.p50_latency_ns),
+        p99_latency_ns: worst(|r| r.p99_latency_ns),
+        digest: 0,
+    };
+    assert_eq!(total.allocs, per_client * CLIENTS, "short allocation run");
+    load_detail(&total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard;
 
     #[test]
     fn workload_names_are_unique_and_described() {
@@ -899,10 +834,11 @@ mod tests {
 
     /// Slow on its first call only, like a workload whose first run
     /// builds a cached topology.
-    fn lazy_probe(_seed: u64, _quick: bool) {
+    fn lazy_probe(_seed: u64, _quick: bool) -> Detail {
         if PROBE_CALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(300));
         }
+        Detail::new()
     }
 
     #[test]
@@ -959,22 +895,104 @@ mod tests {
         // cannot flake): the known-N run matches the closed form, and
         // sizing frames from the density estimator costs at most 10% of
         // the known-population throughput over the same horizon.
-        sim_dfa_saturated(11, true);
-        let d = dfa_detail().expect("workload records its detail");
-        assert!(
-            d.wilson_ok,
-            "known-N success rate must contain the closed form: {d:?}"
+        let detail = sim_dfa_saturated(11, true);
+        assert_guard_fields_recorded("sim_dfa_saturated", &detail);
+        let d = |field: &str| field_of(&detail, field);
+        assert_eq!(
+            d("dfa_wilson_ok"),
+            1,
+            "known-N success rate must contain the closed form: {detail:?}"
         );
         assert!(
-            d.estimated_successes * 10 >= d.known_successes * 9,
-            "density-estimated DFA below 90% of known-N throughput: {d:?}"
+            d("dfa_estimated_successes") * 10 >= d("dfa_known_successes") * 9,
+            "density-estimated DFA below 90% of known-N throughput: {detail:?}"
         );
-        assert!(d.known_attempts >= d.known_successes);
-        assert!(d.csma_deliveries > 0, "carrier sense serializes the clique");
+        assert!(d("dfa_known_attempts") >= d("dfa_known_successes"));
+        assert!(
+            d("dfa_csma_deliveries") > 0,
+            "carrier sense serializes the clique"
+        );
         // Pure ALOHA at full saturation collapses — 16 radios
         // back-to-back on one channel leave no collision-free air. The
         // recorded (possibly zero) count is the baseline DFA beats.
-        assert!(d.aloha_deliveries < d.known_deliveries, "{d:?}");
+        assert!(
+            d("dfa_aloha_deliveries") < d("dfa_known_deliveries"),
+            "{detail:?}"
+        );
+    }
+
+    fn field_of(detail: &Detail, field: &str) -> u64 {
+        detail
+            .iter()
+            .find(|(name, _)| *name == field)
+            .and_then(|(_, value)| value.as_u64())
+            .unwrap_or_else(|| panic!("detail lacks {field}: {detail:?}"))
+    }
+
+    /// Every detail field a `bench_guard` rule reads from `workload`
+    /// must be in the detail that workload returns; a renamed field
+    /// would otherwise turn its rule into a permanent SKIP.
+    fn assert_guard_fields_recorded(workload: &str, detail: &Detail) {
+        for rule in guard::RULES.iter().filter(|r| r.workload == workload) {
+            for field in rule.detail.iter().flat_map(guard::Check::fields) {
+                assert!(
+                    detail.iter().any(|(name, _)| *name == field),
+                    "rule {} reads {field}, which {workload} does not return",
+                    rule.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guard_rules_name_live_workloads_and_recorded_fields() {
+        let set = all();
+        let names: Vec<&str> = set.iter().map(|w| w.name).collect();
+        assert!(names.contains(&guard::ANCHOR));
+        for rule in &guard::RULES {
+            assert!(names.contains(&rule.workload), "rule {}", rule.name);
+            if let guard::Against::Workload(other, _) = rule.against {
+                assert!(names.contains(&other), "rule {}", rule.name);
+            }
+            // sim_dfa_saturated's run is checked in
+            // dfa_saturated_closes_the_retri_loop.
+            if rule.detail.is_empty() || rule.workload == "sim_dfa_saturated" {
+                continue;
+            }
+            let w = set.iter().find(|w| w.name == rule.workload).expect("named");
+            let detail = (w.run)(trial_seed(w.name, 0, 0), true);
+            assert_guard_fields_recorded(w.name, &detail);
+        }
+    }
+
+    /// Each trial outlasts the harness's serial threshold, so the batch
+    /// fans out on any multi-core host; the detail is the trial's seed.
+    const SEED_PROBE_TRIAL: Duration = Duration::from_millis(2);
+
+    fn seed_probe(seed: u64, _quick: bool) -> Detail {
+        std::thread::sleep(SEED_PROBE_TRIAL);
+        vec![("seed", Value::UInt(seed))]
+    }
+
+    #[test]
+    fn measure_records_the_last_trial_whatever_the_worker_count() {
+        const TRIALS: u64 = 6;
+        assert!(
+            SEED_PROBE_TRIAL.as_secs_f64() * 1e6 > crate::harness::SERIAL_TRIAL_THRESHOLD_MICROS
+        );
+        let probe = Workload {
+            name: "seed_probe",
+            description: "returns its seed",
+            trials: TRIALS,
+            nodes: None,
+            sharded: false,
+            run: seed_probe,
+        };
+        let m = measure(&probe, true, 2);
+        assert_eq!(
+            m.detail,
+            vec![("seed", Value::UInt(trial_seed("seed_probe", 0, TRIALS - 1)))]
+        );
     }
 
     #[test]
@@ -987,6 +1005,7 @@ mod tests {
             sharded: false,
             run: |seed, _quick| {
                 std::hint::black_box(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                Detail::new()
             },
         };
         let m = measure(&tiny, true, 3);
