@@ -41,7 +41,263 @@ fn build_sim(seed: u64, nodes: usize, per_node: u32, loss: f64, csma: bool) -> S
     sim
 }
 
+use retri_netsim::radio::DutyCycle;
 use retri_netsim::topology::Topology;
+use retri_netsim::trace::TraceEvent;
+
+/// Which engine a property runs on.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    /// The serial `Simulator`.
+    Serial,
+    /// `ShardedSim` with this many shards.
+    Sharded(usize),
+}
+
+fn engine() -> impl Strategy<Value = Engine> {
+    (0u8..3).prop_map(|k| match k {
+        0 => Engine::Serial,
+        1 => Engine::Sharded(1),
+        _ => Engine::Sharded(4),
+    })
+}
+
+/// The fault models the conservation property covers.
+#[derive(Debug, Clone, Copy)]
+enum Faults {
+    None,
+    /// A bursty Gilbert–Elliott channel with erasure and bit errors.
+    Channel,
+    /// A partition window cutting node 0 off for the first 60 ms.
+    Partition,
+}
+
+fn faults() -> impl Strategy<Value = Faults> {
+    (0u8..3).prop_map(|k| match k {
+        0 => Faults::None,
+        1 => Faults::Channel,
+        _ => Faults::Partition,
+    })
+}
+
+fn fault_model(faults: Faults) -> FaultModel {
+    match faults {
+        Faults::None => FaultModel::none(),
+        Faults::Channel => FaultModel::none().with_channel(GilbertElliott::bursty(
+            ChannelState {
+                bit_error_rate: 1e-3,
+                frame_erasure: 0.05,
+            },
+            ChannelState {
+                bit_error_rate: 1e-2,
+                frame_erasure: 0.4,
+            },
+            0.1,
+            0.3,
+        )),
+        Faults::Partition => FaultModel::none().with_partition(PartitionWindow::new(
+            SimTime::ZERO,
+            SimTime::from_millis(60),
+            vec![NodeId(0)],
+        )),
+    }
+}
+
+/// Runs the full-mesh [`Chatter`] workload on `engine` for 60 s and
+/// returns the medium counters plus the protocol-level receptions.
+fn run_mesh(
+    engine: Engine,
+    seed: u64,
+    nodes: usize,
+    per_node: u32,
+    loss: f64,
+    csma: bool,
+    faults: Faults,
+) -> (MediumStats, u64) {
+    let radio = RadioConfig::radiometrix_rpc().with_frame_loss(loss);
+    let mac = if csma {
+        MacConfig::csma()
+    } else {
+        MacConfig::aloha()
+    };
+    let topo = Topology::full_mesh(nodes, 100.0);
+    let factory = move |_| Chatter { per_node, heard: 0 };
+    let deadline = SimTime::from_secs(60);
+    match engine {
+        Engine::Serial => {
+            let mut sim = SimBuilder::new(seed)
+                .radio(radio)
+                .mac(mac)
+                .range(100.0)
+                .faults(fault_model(faults))
+                .build(factory);
+            for id in topo.node_ids() {
+                sim.add_node_at(topo.position(id));
+            }
+            sim.run_until(deadline);
+            let heard = sim
+                .node_ids()
+                .map(|n| u64::from(sim.protocol(n).heard))
+                .sum();
+            (sim.stats(), heard)
+        }
+        Engine::Sharded(shards) => {
+            let mut sim = ShardedSimBuilder::new(seed)
+                .radio(radio)
+                .mac(mac)
+                .range(100.0)
+                .faults(fault_model(faults))
+                .shards(shards)
+                .build_with_topology(&topo, factory);
+            sim.run_until(deadline);
+            let heard = sim
+                .node_ids()
+                .map(|n| u64::from(sim.protocol(n).heard))
+                .sum();
+            (sim.stats(), heard)
+        }
+    }
+}
+
+/// Sends one 10-byte frame every `period`, at a per-node phase, and
+/// counts receptions.
+struct Ticker {
+    period: SimDuration,
+    heard: u32,
+}
+
+impl Protocol for Ticker {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let phase = 1 + 997 * u64::from(ctx.node_id().0);
+        ctx.set_timer(SimDuration::from_micros(phase), 0);
+    }
+    fn on_frame(&mut self, _ctx: &mut Context<'_>, _frame: &Frame) {
+        self.heard += 1;
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
+        let _ = ctx.send(FramePayload::from_bytes(vec![0xEE; 10]).unwrap());
+        ctx.set_timer(self.period, 0);
+    }
+}
+
+/// FNV-1a over the debug rendering of a serial run's trace stream,
+/// counters and every node's meter: a digest that moves if any event,
+/// count or energy figure does.
+fn serial_digest(sim: &Simulator<Ticker>) -> u64 {
+    let tracer = sim.tracer().expect("trace enabled");
+    assert_eq!(tracer.dropped(), 0, "trace ring must not wrap");
+    let events: Vec<TraceEvent> = tracer.events().copied().collect();
+    let meters: Vec<EnergyMeter> = sim.node_ids().map(|n| *sim.meter(n)).collect();
+    let text = format!("{events:?}{:?}{:?}{meters:?}", sim.stats(), sim.dfa_stats());
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A 5×5 CSMA grid on the serial engine with every path the engine
+/// owns switched on: a bursty Gilbert–Elliott channel (erasure and bit
+/// errors), a partition window, a churn kill and revival, a mid-run
+/// move, one duty-cycled receiver, and tracing.
+fn serial_csma_grid() -> Simulator<Ticker> {
+    let faults = FaultModel::none()
+        .with_channel(GilbertElliott::bursty(
+            ChannelState::clean(),
+            ChannelState {
+                bit_error_rate: 0.01,
+                frame_erasure: 0.2,
+            },
+            0.05,
+            0.25,
+        ))
+        .with_partition(PartitionWindow::new(
+            SimTime::from_millis(300),
+            SimTime::from_millis(800),
+            vec![NodeId(0), NodeId(1), NodeId(5), NodeId(6)],
+        ))
+        .with_churn_event(SimTime::from_millis(400), NodeId(12), false)
+        .with_churn_event(SimTime::from_millis(900), NodeId(12), true);
+    let mut sim = SimBuilder::new(0x5E71A1)
+        .mac(MacConfig::csma())
+        .range(45.0)
+        .faults(faults)
+        .build(|_| Ticker {
+            period: SimDuration::from_millis(40),
+            heard: 0,
+        });
+    let topo = Topology::grid(5, 5, 30.0, 45.0);
+    for id in topo.node_ids() {
+        sim.add_node_at(topo.position(id));
+    }
+    sim.set_duty_cycle(
+        NodeId(7),
+        Some(DutyCycle::new(
+            SimDuration::from_millis(30),
+            0.5,
+            SimDuration::ZERO,
+        )),
+    );
+    sim.schedule_move(
+        SimTime::from_millis(600),
+        NodeId(3),
+        Position::new(500.0, 500.0),
+    );
+    sim.enable_trace(1 << 16);
+    sim.run_until(SimTime::from_secs(2));
+    sim
+}
+
+/// A saturated 16-node Dynamic-Frame Aloha clique (known N, 8 ms
+/// slots) on the serial engine, traced.
+fn serial_dfa_clique() -> Simulator<Ticker> {
+    let mut sim = SimBuilder::new(0xDFA)
+        .mac(MacConfig::dfa_known(SimDuration::from_millis(8), 16))
+        .range(100.0)
+        .build(|_| Ticker {
+            period: SimDuration::from_millis(60),
+            heard: 0,
+        });
+    let topo = Topology::full_mesh(16, 100.0);
+    for id in topo.node_ids() {
+        sim.add_node_at(topo.position(id));
+    }
+    sim.enable_trace(1 << 16);
+    sim.run_until(SimTime::from_secs(2));
+    sim
+}
+
+/// Pinned digests of [`serial_csma_grid`] and [`serial_dfa_clique`].
+const SERIAL_CSMA_GRID_DIGEST: u64 = 0xfc4c_9db4_c277_06f6;
+const SERIAL_DFA_CLIQUE_DIGEST: u64 = 0x8ec4_9ce3_9477_a43e;
+
+/// The serial engine's output for two scenarios that reach every
+/// MAC, DFA, fault, duty-cycle and trace path it has, pinned to a
+/// digest. The golden provenance capture runs on the sharded engine,
+/// so without this pin a change to `Simulator` could drift unseen.
+#[test]
+fn serial_run_matches_its_pinned_digest() {
+    let grid = serial_csma_grid();
+    let stats = grid.stats();
+    assert!(
+        stats.deliveries > 0
+            && stats.rf_collisions > 0
+            && stats.fault_erasures > 0
+            && stats.corrupted_deliveries > 0
+            && stats.partition_losses > 0
+            && stats.sleep_misses > 0,
+        "scenario must reach every receive path: {stats}"
+    );
+    let clique = serial_dfa_clique();
+    let dfa = clique.dfa_stats();
+    assert!(
+        dfa.successes > 0 && dfa.collisions > 0,
+        "DFA scenario must succeed and collide: {dfa:?}"
+    );
+    assert_eq!(
+        (serial_digest(&grid), serial_digest(&clique)),
+        (SERIAL_CSMA_GRID_DIGEST, SERIAL_DFA_CLIQUE_DIGEST),
+        "serial runs drifted from their pinned digests"
+    );
+}
 
 /// A deployment-scale smoke test: hundreds of nodes, sparse periodic
 /// traffic, sane wall-clock time. Guards against accidental quadratic
@@ -80,8 +336,9 @@ fn large_sparse_network_simulates_quickly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Conservation: every delivery attempt ends in exactly one bucket,
-    /// and deliveries never exceed frames_sent × (nodes − 1).
+    /// Conservation on both engines and under every fault model: each
+    /// delivery attempt ends in exactly one of the seven outcome
+    /// buckets, so they sum to frames_sent × (nodes − 1).
     #[test]
     fn delivery_accounting_is_conserved(
         seed in any::<u64>(),
@@ -89,19 +346,21 @@ proptest! {
         per_node in 1u32..6,
         loss in 0.0f64..0.5,
         csma in any::<bool>(),
+        engine in engine(),
+        faults in faults(),
     ) {
-        let mut sim = build_sim(seed, nodes, per_node, loss, csma);
-        sim.run_until(SimTime::from_secs(60));
-        let stats = sim.stats();
+        let (stats, heard) = run_mesh(engine, seed, nodes, per_node, loss, csma, faults);
         prop_assert_eq!(stats.frames_sent, nodes as u64 * per_node as u64);
         let attempts = stats.frames_sent * (nodes as u64 - 1);
         let accounted = stats.deliveries
             + stats.rf_collisions
             + stats.half_duplex_losses
-            + stats.random_losses;
-        prop_assert_eq!(accounted, attempts);
+            + stats.random_losses
+            + stats.sleep_misses
+            + stats.fault_erasures
+            + stats.partition_losses;
+        prop_assert_eq!(accounted, attempts, "{}", stats);
         // Protocol-level receptions equal medium-level deliveries.
-        let heard: u64 = sim.node_ids().map(|n| sim.protocol(n).heard as u64).sum();
         prop_assert_eq!(heard, stats.deliveries);
     }
 

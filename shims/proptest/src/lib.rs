@@ -11,7 +11,9 @@
 //!   strategies generate `Debug` values) instead of a minimized one.
 //! - **Deterministic exploration.** Case generation is seeded from the
 //!   test name, so a given build always runs the same cases; set
-//!   `PROPTEST_CASES` to widen the sweep.
+//!   `PROPTEST_CASES` to widen the sweep. A count pinned with
+//!   `ProptestConfig::with_cases(n)` runs `max(n, PROPTEST_CASES)`
+//!   cases, so the variable raises it and never lowers it.
 //! - `.proptest-regressions` files are not consulted; regressions worth
 //!   keeping are pinned as explicit unit tests instead.
 

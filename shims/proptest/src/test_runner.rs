@@ -44,10 +44,12 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// Config running `cases` successful cases.
+    /// Config running `cases` successful cases, or `PROPTEST_CASES` if
+    /// that is larger: the variable widens a pinned sweep and never
+    /// narrows it.
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig {
-            cases,
+            cases: widened(cases, env_cases()),
             ..ProptestConfig::default()
         }
     }
@@ -55,15 +57,21 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
         ProptestConfig {
-            cases,
+            cases: env_cases().unwrap_or(256),
             max_global_rejects: 1024,
         }
     }
+}
+
+/// The case count `PROPTEST_CASES` asks for, if set and numeric.
+fn env_cases() -> Option<u32> {
+    std::env::var("PROPTEST_CASES").ok()?.parse().ok()
+}
+
+/// A pinned case count raised (never lowered) to the requested one.
+fn widened(pinned: u32, requested: Option<u32>) -> u32 {
+    requested.map_or(pinned, |requested| pinned.max(requested))
 }
 
 /// Derives the per-test RNG seed from the test name, so a given build
@@ -120,6 +128,13 @@ mod tests {
     fn seeds_differ_by_name() {
         assert_ne!(seed_for("alpha"), seed_for("beta"));
         assert_eq!(seed_for("alpha"), seed_for("alpha"));
+    }
+
+    #[test]
+    fn env_cases_raise_a_pinned_count_and_never_lower_it() {
+        assert_eq!(widened(12, None), 12);
+        assert_eq!(widened(12, Some(96)), 96);
+        assert_eq!(widened(48, Some(5)), 48);
     }
 
     #[test]

@@ -55,10 +55,30 @@ impl Protocol for Beacon {
     }
 }
 
-/// Runs a faulty, churning 5x5 grid on `shards` shards and returns the
-/// full trace-event stream plus the medium counters.
-fn traced_run(shards: usize) -> (Vec<TraceEvent>, MediumStats) {
-    let faults = FaultModel::none()
+/// The MAC a [`traced_run`] row runs. The ALOHA row is the original
+/// scenario; the CSMA and DFA rows add a partition window and a
+/// duty-cycled receiver, so carrier sense, slot framing and feedback,
+/// partitions and sleep all reach the pinned digests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    Aloha,
+    Csma,
+    DfaKnown,
+}
+
+/// What a [`traced_run`] observes: the trace stream, the medium and DFA
+/// counters, and every node's meter.
+struct Traced {
+    events: Vec<TraceEvent>,
+    stats: MediumStats,
+    dfa: DfaStats,
+    meters: Vec<EnergyMeter>,
+}
+
+/// Runs a faulty, churning 5x5 grid on `shards` shards with the MAC of
+/// `row` and returns what it observed.
+fn traced_run(row: Row, shards: usize) -> Traced {
+    let mut faults = FaultModel::none()
         .with_channel(GilbertElliott::bursty(
             ChannelState::clean(),
             ChannelState {
@@ -70,12 +90,35 @@ fn traced_run(shards: usize) -> (Vec<TraceEvent>, MediumStats) {
         ))
         .with_churn_event(SimTime::from_millis(400), NodeId(7), false)
         .with_churn_event(SimTime::from_millis(900), NodeId(7), true);
+    let mac = match row {
+        Row::Aloha => MacConfig::aloha(),
+        Row::Csma => MacConfig::csma(),
+        // 25 slots of 8 ms, each covering a 10-byte frame's airtime.
+        Row::DfaKnown => MacConfig::dfa_known(SimDuration::from_millis(8), 25),
+    };
+    if row != Row::Aloha {
+        faults = faults.with_partition(PartitionWindow::new(
+            SimTime::from_millis(250),
+            SimTime::from_millis(750),
+            vec![NodeId(0), NodeId(1), NodeId(5), NodeId(6)],
+        ));
+    }
     let mut sim = ShardedSimBuilder::new(0xDECAF)
-        .mac(MacConfig::aloha())
+        .mac(mac)
         .range(45.0)
         .faults(faults)
         .shards(shards)
         .build_with_topology(&Topology::grid(5, 5, 30.0, 45.0), |_| Chatterbox);
+    if row != Row::Aloha {
+        sim.set_duty_cycle(
+            NodeId(12),
+            Some(retri_netsim::radio::DutyCycle::new(
+                SimDuration::from_millis(30),
+                0.5,
+                SimDuration::ZERO,
+            )),
+        );
+    }
     sim.schedule_move(
         SimTime::from_millis(600),
         NodeId(3),
@@ -85,49 +128,98 @@ fn traced_run(shards: usize) -> (Vec<TraceEvent>, MediumStats) {
     sim.run_until(SimTime::from_secs(2));
     let tracer = sim.tracer().expect("trace enabled");
     assert_eq!(tracer.dropped(), 0, "trace ring must not wrap");
-    (tracer.events().copied().collect(), sim.stats())
+    Traced {
+        events: tracer.events().copied().collect(),
+        stats: sim.stats(),
+        dfa: sim.dfa_stats(),
+        meters: sim.node_ids().map(|n| *sim.meter(n)).collect(),
+    }
 }
 
 #[test]
 fn trace_stream_is_identical_across_shard_counts() {
-    let (baseline_events, baseline_stats) = traced_run(1);
-    assert!(
-        baseline_events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Lost { .. })),
-        "scenario must actually exercise loss paths"
-    );
-    for shards in [2, 4, 8] {
-        let (events, stats) = traced_run(shards);
-        assert_eq!(stats, baseline_stats, "stats diverged at {shards} shards");
-        assert_eq!(
-            events, baseline_events,
-            "trace stream diverged at {shards} shards"
+    for row in [Row::Aloha, Row::Csma, Row::DfaKnown] {
+        let baseline = traced_run(row, 1);
+        assert!(
+            baseline
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Lost { .. })),
+            "{row:?} scenario must actually exercise loss paths"
         );
+        for shards in [2, 4, 8] {
+            let got = traced_run(row, shards);
+            assert_eq!(
+                got.stats, baseline.stats,
+                "{row:?} stats diverged at {shards} shards"
+            );
+            assert_eq!(
+                got.dfa, baseline.dfa,
+                "{row:?} DFA stats diverged at {shards} shards"
+            );
+            assert_eq!(
+                got.meters, baseline.meters,
+                "{row:?} meters diverged at {shards} shards"
+            );
+            assert_eq!(
+                got.events, baseline.events,
+                "{row:?} trace stream diverged at {shards} shards"
+            );
+        }
     }
 }
 
 /// FNV-1a over the debug rendering of a run's trace stream and
-/// counters: a digest that moves if any event or count does.
-fn run_digest(events: &[TraceEvent], stats: &MediumStats) -> u64 {
-    let text = format!("{events:?}{stats:?}");
+/// counters, followed by `tail`: a digest that moves if any event or
+/// count does.
+fn run_digest(events: &[TraceEvent], stats: &MediumStats, tail: &str) -> u64 {
+    let text = format!("{events:?}{stats:?}{tail}");
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// Pinned digest of [`traced_run`], equal at every shard count.
+/// Pinned digest of the ALOHA [`traced_run`] row (trace stream and
+/// medium counters), equal at every shard count.
 const TRACED_RUN_DIGEST: u64 = 0x4acf_0134_aef2_7f7e;
+/// Pinned digests of the CSMA and DFA rows, which also cover the DFA
+/// counters and every node's meter.
+const TRACED_CSMA_DIGEST: u64 = 0xc5e1_184e_e6c4_b917;
+const TRACED_DFA_DIGEST: u64 = 0x83a5_372f_6015_00e9;
 
 #[test]
 fn traced_run_matches_its_pinned_digest() {
     for shards in [1, 4] {
-        let (events, stats) = traced_run(shards);
-        assert_eq!(
-            run_digest(&events, &stats),
-            TRACED_RUN_DIGEST,
-            "traced run drifted from its pinned digest at {shards} shards"
-        );
+        for (row, pinned) in [
+            (Row::Aloha, TRACED_RUN_DIGEST),
+            (Row::Csma, TRACED_CSMA_DIGEST),
+            (Row::DfaKnown, TRACED_DFA_DIGEST),
+        ] {
+            let run = traced_run(row, shards);
+            let tail = match row {
+                Row::Aloha => String::new(),
+                _ => format!("{:?}{:?}", run.dfa, run.meters),
+            };
+            if row == Row::Csma {
+                assert!(
+                    run.stats.partition_losses > 0 && run.stats.sleep_misses > 0,
+                    "CSMA row must partition and sleep: {:?}",
+                    run.stats
+                );
+            }
+            if row == Row::DfaKnown {
+                assert!(
+                    run.dfa.successes > 0 && run.dfa.collisions > 0,
+                    "DFA row must succeed and collide: {:?}",
+                    run.dfa
+                );
+            }
+            assert_eq!(
+                run_digest(&run.events, &run.stats, &tail),
+                pinned,
+                "{row:?} traced run drifted from its pinned digest at {shards} shards"
+            );
+        }
     }
 }
 
@@ -186,7 +278,7 @@ fn moving_grid_matches_its_pinned_digest() {
             "scenario must deliver and collide: {stats:?}"
         );
         assert_eq!(
-            run_digest(&events, &stats),
+            run_digest(&events, &stats, ""),
             MOVING_GRID_DIGEST,
             "moving grid drifted from its pinned digest at {shards} shards"
         );
