@@ -69,6 +69,7 @@ pub mod medium;
 pub mod node;
 pub(crate) mod obs;
 pub mod radio;
+pub(crate) mod rules;
 pub mod shard;
 pub mod sim;
 pub mod time;

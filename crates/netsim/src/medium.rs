@@ -14,7 +14,9 @@
 //!
 //! Evaluating at transmission end is sound because any overlapping
 //! transmission has, by definition, already *started* by then, so the
-//! medium has its record.
+//! medium has its record. The precedence of steps 2–4 is written once,
+//! in `crate::rules`, for both engines; the medium is the serial
+//! engine's answer to its half-duplex and interference queries.
 //!
 //! # Indexing and bounded scans
 //!
@@ -43,6 +45,7 @@ use std::collections::VecDeque;
 
 use crate::frame::Frame;
 use crate::node::NodeId;
+use crate::rules::AirReads;
 use crate::time::SimTime;
 use crate::topology::Topology;
 
@@ -73,23 +76,7 @@ impl TxRecord {
     }
 }
 
-/// Why a receiver did not get a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryFailure {
-    /// The receiver's own radio was transmitting (half-duplex).
-    HalfDuplex,
-    /// Another audible transmission overlapped (RF collision).
-    RfCollision,
-    /// Independent random frame loss.
-    RandomLoss,
-}
-
-/// Per-receiver delivery verdict for one transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    Delivered,
-    Failed(DeliveryFailure),
-}
+pub use crate::rules::DeliveryFailure;
 
 #[derive(Debug, Default)]
 pub(crate) struct Medium {
@@ -210,92 +197,12 @@ impl Medium {
         record.start.as_micros() < start.as_micros().saturating_sub(self.max_airtime_micros)
     }
 
-    /// Whether `node`'s own radio is transmitting during `[start, end)`.
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        let Some(&retained) = self.retained_by_node.get(node.index()) else {
-            return false;
-        };
-        let mut remaining = retained;
-        for record in self.records.iter().rev() {
-            if remaining == 0 || self.before_overlap_window(record, start) {
-                break;
-            }
-            if record.sender != node {
-                continue;
-            }
-            if record.seq != exclude_seq && record.overlaps(start, end) {
-                return true;
-            }
-            remaining -= 1;
-        }
-        false
-    }
-
-    /// Whether any foreign transmission audible at `receiver` overlaps
-    /// `[start, end)` other than `exclude_seq`.
-    ///
-    /// Also serves as the DFA sender-side collision feedback: a frame
-    /// slot collided iff some other audible transmission overlapped the
-    /// sender's airtime.
-    pub fn interference_at(
-        &self,
-        receiver: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        for record in self.records.iter().rev() {
-            if self.before_overlap_window(record, start) {
-                break;
-            }
-            if record.seq != exclude_seq
-                && record.sender != receiver
-                && record.overlaps(start, end)
-                && topology.in_range(record.sender, receiver)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Looks up a record by sequence number — O(1) via the `base_seq`
     /// offset. `None` if the record was pruned or never existed.
+    #[cfg(test)]
     pub fn record(&self, seq: u64) -> Option<&TxRecord> {
         let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
         self.records.get(index)
-    }
-
-    /// Decides delivery of transmission `seq` to `receiver`.
-    ///
-    /// `loss_draw` is a pre-drawn uniform `[0,1)` variate (drawn by the
-    /// engine so the medium itself stays deterministic and borrow-free).
-    pub fn judge(
-        &self,
-        seq: u64,
-        receiver: NodeId,
-        loss_draw: f64,
-        frame_loss: f64,
-        topology: &Topology,
-    ) -> Verdict {
-        let record = self.record(seq).expect("judging unknown transmission");
-        debug_assert!(topology.in_range(record.sender, receiver));
-        if self.transmitting_during(receiver, record.start, record.end, seq) {
-            Verdict::Failed(DeliveryFailure::HalfDuplex)
-        } else if self.interference_at(receiver, record.start, record.end, seq, topology) {
-            Verdict::Failed(DeliveryFailure::RfCollision)
-        } else if loss_draw < frame_loss {
-            Verdict::Failed(DeliveryFailure::RandomLoss)
-        } else {
-            Verdict::Delivered
-        }
     }
 
     /// Drops records that can no longer overlap any future judgment: a
@@ -332,11 +239,89 @@ impl Medium {
     }
 }
 
+impl AirReads for Medium {
+    fn transmitting_during(
+        &self,
+        node: NodeId,
+        start: SimTime,
+        end: SimTime,
+        exclude_seq: u64,
+    ) -> bool {
+        let Some(&retained) = self.retained_by_node.get(node.index()) else {
+            return false;
+        };
+        let mut remaining = retained;
+        for record in self.records.iter().rev() {
+            if remaining == 0 || self.before_overlap_window(record, start) {
+                break;
+            }
+            if record.sender != node {
+                continue;
+            }
+            if record.seq != exclude_seq && record.overlaps(start, end) {
+                return true;
+            }
+            remaining -= 1;
+        }
+        false
+    }
+
+    fn interference_at(
+        &self,
+        receiver: NodeId,
+        start: SimTime,
+        end: SimTime,
+        exclude_seq: u64,
+        topology: &Topology,
+    ) -> bool {
+        for record in self.records.iter().rev() {
+            if self.before_overlap_window(record, start) {
+                break;
+            }
+            if record.seq != exclude_seq
+                && record.sender != receiver
+                && record.overlaps(start, end)
+                && topology.in_range(record.sender, receiver)
+            {
+                return true;
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FramePayload;
+    use crate::radio::RadioConfig;
+    use crate::rules::{Airing, Verdict};
     use crate::topology::Position;
+
+    /// Judges retained transmission `seq` at `receiver`, as the serial
+    /// engine does at the transmission's end.
+    fn judge(
+        medium: &Medium,
+        seq: u64,
+        receiver: NodeId,
+        loss_draw: f64,
+        frame_loss: f64,
+        topo: &Topology,
+    ) -> Verdict {
+        let record = medium.record(seq).expect("judging a retained record");
+        let probe = frame(record.sender.0);
+        let radio = RadioConfig::radiometrix_rpc().with_frame_loss(frame_loss);
+        let tx = Airing {
+            seq,
+            sender: record.sender,
+            start: record.start,
+            end: record.end,
+            bits_on_air: record.bits_on_air,
+            frame: &probe,
+            radio: &radio,
+        };
+        medium.judge(&tx, receiver, loss_draw, topo)
+    }
 
     fn frame(src: u32) -> Frame {
         // Encode the full u32 little-endian: `src as u8` would alias every
@@ -362,7 +347,7 @@ mod tests {
         let (topo, a, r, _) = hidden_topology();
         let mut medium = Medium::new();
         let seq = medium.begin_tx(a, t(0), t(100), frame(0), 8);
-        assert_eq!(medium.judge(seq, r, 0.9, 0.0, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, seq, r, 0.9, 0.0, &topo), Verdict::Delivered);
     }
 
     #[test]
@@ -371,10 +356,10 @@ mod tests {
         let mut medium = Medium::new();
         let seq = medium.begin_tx(a, t(0), t(100), frame(0), 8);
         assert_eq!(
-            medium.judge(seq, r, 0.05, 0.1, &topo),
+            judge(&medium, seq, r, 0.05, 0.1, &topo),
             Verdict::Failed(DeliveryFailure::RandomLoss)
         );
-        assert_eq!(medium.judge(seq, r, 0.5, 0.1, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, seq, r, 0.5, 0.1, &topo), Verdict::Delivered);
     }
 
     #[test]
@@ -385,11 +370,11 @@ mod tests {
         let sb = medium.begin_tx(b, t(50), t(150), frame(2), 8);
         // Both frames are corrupted at r.
         assert_eq!(
-            medium.judge(sa, r, 0.9, 0.0, &topo),
+            judge(&medium, sa, r, 0.9, 0.0, &topo),
             Verdict::Failed(DeliveryFailure::RfCollision)
         );
         assert_eq!(
-            medium.judge(sb, r, 0.9, 0.0, &topo),
+            judge(&medium, sb, r, 0.9, 0.0, &topo),
             Verdict::Failed(DeliveryFailure::RfCollision)
         );
     }
@@ -400,8 +385,8 @@ mod tests {
         let mut medium = Medium::new();
         let sa = medium.begin_tx(a, t(0), t(100), frame(0), 8);
         let sb = medium.begin_tx(b, t(100), t(200), frame(2), 8);
-        assert_eq!(medium.judge(sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
-        assert_eq!(medium.judge(sb, r, 0.9, 0.0, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, sb, r, 0.9, 0.0, &topo), Verdict::Delivered);
     }
 
     #[test]
@@ -415,7 +400,7 @@ mod tests {
         let mut medium = Medium::new();
         let sa = medium.begin_tx(a, t(0), t(100), frame(0), 8);
         let _sb = medium.begin_tx(b, t(0), t(100), frame(2), 8);
-        assert_eq!(medium.judge(sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
     }
 
     #[test]
@@ -426,7 +411,7 @@ mod tests {
         // r itself transmits during a's frame.
         let _sr = medium.begin_tx(r, t(20), t(60), frame(1), 8);
         assert_eq!(
-            medium.judge(sa, r, 0.9, 0.0, &topo),
+            judge(&medium, sa, r, 0.9, 0.0, &topo),
             Verdict::Failed(DeliveryFailure::HalfDuplex)
         );
     }
@@ -459,7 +444,7 @@ mod tests {
         let sa = medium.begin_tx(a, t(0), t(100), frame(0), 8);
         let _sb = medium.begin_tx(b, t(100), t(200), frame(2), 8);
         // [0,100) and [100,200) share only the boundary instant.
-        assert_eq!(medium.judge(sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
+        assert_eq!(judge(&medium, sa, r, 0.9, 0.0, &topo), Verdict::Delivered);
     }
 
     #[test]
@@ -502,7 +487,7 @@ mod tests {
         // see the collision.
         let other = medium.begin_tx(r, t(90), t(190), frame(1), 8);
         assert_eq!(
-            medium.judge(other, a, 0.9, 0.0, &topo),
+            judge(&medium, other, a, 0.9, 0.0, &topo),
             Verdict::Failed(DeliveryFailure::HalfDuplex)
         );
     }
@@ -565,7 +550,7 @@ mod tests {
         }
         let late = medium.begin_tx(b, t(900), t(950), frame(2), 4);
         assert_eq!(
-            medium.judge(late, r, 0.9, 0.0, &topo),
+            judge(&medium, late, r, 0.9, 0.0, &topo),
             Verdict::Failed(DeliveryFailure::RfCollision)
         );
         let _ = long;

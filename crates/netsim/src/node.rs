@@ -1,7 +1,9 @@
 //! Nodes, protocols, and the context protocols act through.
 //!
 //! A node hosts exactly one [`Protocol`] instance — the code under test.
-//! The simulator invokes the protocol on three occasions (start, frame
+//! Either engine, [`Simulator`](crate::sim::Simulator) or
+//! [`ShardedSim`](crate::shard::ShardedSim), invokes the protocol on
+//! three occasions (start, frame
 //! reception, timer expiry) and hands it a [`Context`] through which it
 //! can read the clock, draw randomness, transmit frames, and arm timers.
 //! All effects are buffered as commands and applied by the engine after
@@ -56,9 +58,9 @@ pub struct TimerHandle(pub(crate) u64);
 
 /// The behavior a node runs.
 ///
-/// Implementations contain all protocol state; the simulator owns the
+/// Implementations contain all protocol state; the engine owns the
 /// instances and exposes them through [`crate::sim::Simulator::protocol`]
-/// for post-run inspection.
+/// or [`crate::shard::ShardedSim::protocol`] for post-run inspection.
 pub trait Protocol {
     /// Called once when the node boots (simulation start, or the moment
     /// the node is added).

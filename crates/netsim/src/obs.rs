@@ -1,16 +1,20 @@
-//! Observability wiring for the simulator.
+//! Observability wiring for both simulation engines.
 //!
 //! [`NetsimObs`] holds pre-resolved [`retri_obs`] handles for every
 //! medium-level metric, so the per-event cost when observability is on
 //! is one atomic update on a pre-resolved cell, and the cost when it
-//! is off is nothing at all: the simulator stores `Option<NetsimObs>` and a
-//! disabled run never constructs one (see
-//! [`Simulator::enable_obs`](crate::sim::Simulator::enable_obs)).
+//! is off is nothing at all: each engine stores `Option<NetsimObs>` and
+//! a disabled run never constructs one (see
+//! [`Simulator::enable_obs`](crate::sim::Simulator::enable_obs) and
+//! [`ShardedSim::enable_obs`](crate::shard::ShardedSim::enable_obs)).
+//! Both engines record through the shared radio rules in `rules.rs`.
 //!
-//! Metrics are pure observations: no recording call touches the main
-//! or fault RNG streams, so enabling observability can never change
-//! simulation output. `sim.rs` proves this with an obs-on-equals-
-//! obs-off stats test.
+//! Metrics are pure observations: no recording call touches any RNG
+//! stream, so enabling observability can never change simulation
+//! output. `sim.rs` checks this for the serial engine with an
+//! obs-on-equals-obs-off stats test; the integration test
+//! `observation_never_perturbs_results` checks it for the sharded
+//! engine, on the AFF testbed that runs there.
 
 use retri_obs::{Counter, Gauge, Obs, SpanTracker};
 

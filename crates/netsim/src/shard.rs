@@ -43,7 +43,10 @@
 //! same per-node streams, so `--shards 1` is the reference output, not a
 //! different engine. The serial [`crate::sim::Simulator`] draws from one
 //! global RNG and therefore produces a (deterministic) stream of its
-//! own; workloads choose one engine and stay on it.
+//! own; workloads choose one engine and stay on it. The two engines
+//! share their radio rules — the per-receiver pipeline, the per-node
+//! MAC and DFA state, transmission accounting — through `crate::rules`,
+//! and differ only in scheduling, RNG stream layout and air index.
 //!
 //! # Interference bookkeeping
 //!
@@ -67,15 +70,14 @@ use crate::energy::EnergyMeter;
 use crate::fault::{ChurnEvent, FaultModel};
 use crate::frame::{Frame, FramePayload};
 use crate::grid::{cell_of, Cell, FxHashMap, FxHashSet};
-use crate::mac::{DfaConfig, DfaStats, FrameSizing, MacConfig};
-use crate::medium::{DeliveryFailure, Verdict};
+use crate::mac::{DfaStats, MacConfig};
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;
 use crate::radio::{DutyCycle, RadioConfig};
-use crate::sim::{align_up, MediumStats};
+use crate::rules::{self, AirReads, Airing, DfaStep, MacState, MediumStats, Receiver, TxStart};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Position, Topology};
-use crate::trace::{LossReason, TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 
 /// Derives the seed of one of a node's dedicated RNG streams.
 ///
@@ -159,22 +161,48 @@ enum MacKind {
     Try { node: NodeId },
 }
 
-/// A MAC-phase event, ordered by `(at, lane, a, b)` where node-owned
-/// lanes use `a` = node id and `b` = a per-node event counter, and the
-/// dynamics lane uses `a` = the global dynamic index.
+/// A heap event ordered by `(at, lane, a, b)`, where node-owned lanes
+/// use `a` = node id and `b` = a per-node counter, and the dynamics
+/// lanes use `a` = the global dynamic index. The key has no
+/// insertion-order component, so pops are shard-count invariant.
 #[derive(Debug)]
-struct MacEvent {
+struct LaneEvent<K> {
     at: SimTime,
     lane: u8,
     a: u64,
     b: u64,
-    kind: MacKind,
+    kind: K,
 }
 
-impl MacEvent {
+impl<K> LaneEvent<K> {
     fn key(&self) -> (SimTime, u8, u64, u64) {
         (self.at, self.lane, self.a, self.b)
     }
+}
+
+impl<K> PartialEq for LaneEvent<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<K> Eq for LaneEvent<K> {}
+impl<K> PartialOrd for LaneEvent<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<K> Ord for LaneEvent<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: invert so the smallest key pops
+        // first.
+        other.key().cmp(&self.key())
+    }
+}
+
+/// A MAC-phase event.
+type MacEvent = LaneEvent<MacKind>;
+
+impl MacEvent {
     /// The node this event is pinned to, if it is node-owned (dynamics
     /// are broadcast and stay put on shard rebalancing).
     fn node(&self) -> Option<NodeId> {
@@ -184,25 +212,6 @@ impl MacEvent {
                 Some(node)
             }
         }
-    }
-}
-
-impl PartialEq for MacEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for MacEvent {}
-impl PartialOrd for MacEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MacEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest key pops
-        // first.
-        other.key().cmp(&self.key())
     }
 }
 
@@ -227,20 +236,10 @@ enum RxKind {
     DfaFeedback { seq: u64, sender: NodeId },
 }
 
-/// A receive-phase event, ordered by `(at, lane, a, b)`.
-#[derive(Debug)]
-struct RxEvent {
-    at: SimTime,
-    lane: u8,
-    a: u64,
-    b: u64,
-    kind: RxKind,
-}
+/// A receive-phase event.
+type RxEvent = LaneEvent<RxKind>;
 
 impl RxEvent {
-    fn key(&self) -> (SimTime, u8, u64, u64) {
-        (self.at, self.lane, self.a, self.b)
-    }
     fn node(&self) -> Option<NodeId> {
         match self.kind {
             RxKind::Start { node } | RxKind::Timer { node, .. } => Some(node),
@@ -250,51 +249,34 @@ impl RxEvent {
             RxKind::Dynamics { .. } | RxKind::Deliver { .. } => None,
         }
     }
+
+    /// Runs `node`'s `on_start` at `at`.
+    fn start(at: SimTime, node: NodeId) -> Self {
+        RxEvent {
+            at,
+            lane: LANE_R_START,
+            a: u64::from(node.0),
+            b: 0,
+            kind: RxKind::Start { node },
+        }
+    }
+
+    /// Judges delivery of `sender`'s transmission `seq` at its end, `at`.
+    fn deliver(at: SimTime, seq: u64, sender: NodeId) -> Self {
+        RxEvent {
+            at,
+            lane: LANE_R_DELIVER,
+            a: seq,
+            b: 0,
+            kind: RxKind::Deliver { seq, sender },
+        }
+    }
 }
 
-impl PartialEq for RxEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for RxEvent {}
-impl PartialOrd for RxEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RxEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A pending master-topology update, applied at epoch barriers so the
-/// master copy (used for the public accessor and shard rebalancing)
-/// tracks the replicas.
-#[derive(Debug)]
-struct MasterDyn {
-    at: SimTime,
-    idx: u64,
-    action: DynAction,
-}
-
-impl PartialEq for MasterDyn {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.idx) == (other.at, other.idx)
-    }
-}
-impl Eq for MasterDyn {}
-impl PartialOrd for MasterDyn {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MasterDyn {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.idx).cmp(&(self.at, self.idx))
-    }
-}
+/// A pending master-topology update (`a` = its dynamic index), applied
+/// at epoch barriers so the master copy (used for the public accessor
+/// and shard rebalancing) tracks the replicas.
+type MasterDyn = LaneEvent<DynAction>;
 
 /// One transmission record in the shared air view.
 ///
@@ -340,100 +322,126 @@ impl AirRecord {
     }
 }
 
-/// Read-only delivery-judgment queries over some view of the air —
-/// implemented by the global [`AirView`] (serial windows) and by the
-/// per-shard [`GhostAir`] replicas (threaded windows), so the receive
-/// phase is lock-free either way.
-trait AirReads {
-    fn get(&self, seq: u64) -> Option<&AirRecord>;
+/// Record sequence numbers bucketed by the sender's grid cell at
+/// transmission start, ascending within each cell. The cell size is
+/// the radio range, so the 3×3 cells around a node hold every record
+/// whose sender can be in range of it.
+#[derive(Debug, Default)]
+struct CellIndex {
+    cell_size: f64,
+    cells: FxHashMap<Cell, VecDeque<u64>>,
+}
 
-    /// Whether `node`'s own radio is transmitting during `[start, end)`,
-    /// other than `exclude_seq` (half-duplex check).
+impl CellIndex {
+    /// Whether `hit` holds for any record indexed in the 3×3 cells
+    /// around `position`.
+    fn any_around(&self, position: Position, mut hit: impl FnMut(u64) -> bool) -> bool {
+        let (cx, cy) = cell_of(position, self.cell_size);
+        for dx in -1..=1 {
+            for dy in -1..=1 {
+                if let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) {
+                    if seqs.iter().any(|&seq| hit(seq)) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Drops `seq`, the oldest record indexed under `cell`.
+    fn pop_oldest(&mut self, cell: Cell, seq: u64) {
+        let seqs = self.cells.get_mut(&cell).expect("cell index present");
+        let popped = seqs.pop_front();
+        debug_assert_eq!(popped, Some(seq));
+        if seqs.is_empty() {
+            self.cells.remove(&cell);
+        }
+    }
+}
+
+/// A view of the air records: the global [`AirView`] (serial windows)
+/// and the per-shard [`GhostAir`] replicas (threaded windows), so the
+/// receive phase is lock-free either way. Both answer the shared
+/// [`AirReads`] queries the same way, from their cell and sender
+/// indexes.
+trait AirRecords {
+    fn get(&self, seq: u64) -> Option<&AirRecord>;
+    fn index(&self) -> &CellIndex;
+    /// `node`'s retained transmissions, ascending.
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>>;
+
+    fn record(&self, seq: u64) -> &AirRecord {
+        self.get(seq).expect("indexed record retained")
+    }
+}
+
+impl<T: AirRecords> AirReads for T {
     fn transmitting_during(
         &self,
         node: NodeId,
         start: SimTime,
         end: SimTime,
         exclude_seq: u64,
-    ) -> bool;
+    ) -> bool {
+        self.sent_by(node).is_some_and(|seqs| {
+            seqs.iter().any(|&seq| {
+                let record = self.record(seq);
+                seq != exclude_seq && record.overlaps(start, end)
+            })
+        })
+    }
 
-    /// Whether any foreign transmission audible at `receiver` overlaps
-    /// `[start, end)` other than `exclude_seq`.
     fn interference_at(
         &self,
         receiver: NodeId,
-        position: Position,
         start: SimTime,
         end: SimTime,
         exclude_seq: u64,
         topology: &Topology,
-    ) -> bool;
-
-    /// Per-receiver delivery verdict — the serial medium's precedence
-    /// verbatim: half-duplex, then RF collision, then random loss.
-    fn judge(
-        &self,
-        seq: u64,
-        receiver: NodeId,
-        position: Position,
-        loss_draw: f64,
-        frame_loss: f64,
-        topology: &Topology,
-    ) -> Verdict {
-        let record = self.get(seq).expect("judging unknown transmission");
-        if self.transmitting_during(receiver, record.start, record.end, seq) {
-            Verdict::Failed(DeliveryFailure::HalfDuplex)
-        } else if self.interference_at(receiver, position, record.start, record.end, seq, topology)
-        {
-            Verdict::Failed(DeliveryFailure::RfCollision)
-        } else if loss_draw < frame_loss {
-            Verdict::Failed(DeliveryFailure::RandomLoss)
-        } else {
-            Verdict::Delivered
-        }
+    ) -> bool {
+        self.index().any_around(topology.position(receiver), |seq| {
+            let record = self.record(seq);
+            seq != exclude_seq
+                && record.sender != receiver
+                && record.overlaps(start, end)
+                && topology.in_range(record.sender, receiver)
+        })
     }
 }
 
 /// The single, global view of the air shared by all shards.
 ///
-/// Mirrors the serial [`crate::medium::Medium`] verdict logic exactly,
+/// Answers the same queries as the serial [`crate::medium::Medium`],
 /// but indexes records by the sender's grid cell (cell size = radio
 /// range) so interference queries scan a 3×3 neighborhood instead of
 /// every concurrent transmission — the property that makes the shared
 /// read-only view cheap at 10k nodes.
 #[derive(Debug)]
 struct AirView {
-    cell_size: f64,
     /// Retained records in seq order; `records[i]` has `base_seq + i`.
     records: VecDeque<AirRecord>,
     base_seq: u64,
-    /// Per-cell record sequence numbers, in insertion (= seq) order.
-    cells: FxHashMap<Cell, VecDeque<u64>>,
+    index: CellIndex,
     /// Per-sender record sequence numbers, indexed by node.
     by_node: Vec<VecDeque<u64>>,
-    /// Longest airtime ever inserted, in microseconds (monotone).
-    max_airtime_micros: u64,
 }
 
 impl AirView {
     fn new(cell_size: f64) -> Self {
         AirView {
-            cell_size,
             records: VecDeque::new(),
             base_seq: 0,
-            cells: FxHashMap::default(),
+            index: CellIndex {
+                cell_size,
+                cells: FxHashMap::default(),
+            },
             by_node: Vec::new(),
-            max_airtime_micros: 0,
         }
     }
 
     fn add_node(&mut self) {
         self.by_node.push(VecDeque::new());
-    }
-
-    fn get(&self, seq: u64) -> Option<&AirRecord> {
-        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
-        self.records.get(index)
     }
 
     fn insert(&mut self, record: AirRecord) {
@@ -442,10 +450,8 @@ impl AirView {
             self.base_seq + self.records.len() as u64,
             "records must be inserted in sequence order"
         );
-        self.max_airtime_micros = self
-            .max_airtime_micros
-            .max(record.end.since(record.start).as_micros());
-        self.cells
+        self.index
+            .cells
             .entry(record.cell)
             .or_default()
             .push_back(record.seq);
@@ -467,26 +473,14 @@ impl AirView {
         now: SimTime,
         topology: &Topology,
     ) -> bool {
-        let (cx, cy) = cell_of(position, self.cell_size);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = self.get(seq).expect("indexed record retained");
-                    if !record.ended
-                        && record.sender != listener
-                        && record.start <= now
-                        && record.end > now
-                        && topology.in_range(record.sender, listener)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.index.any_around(position, |seq| {
+            let record = self.record(seq);
+            !record.ended
+                && record.sender != listener
+                && record.start <= now
+                && record.end > now
+                && topology.in_range(record.sender, listener)
+        })
     }
 
     /// Drops front records ended before `horizon`. O(1) per record: the
@@ -499,15 +493,7 @@ impl AirView {
             }
             let record = self.records.pop_front().expect("front exists");
             self.base_seq += 1;
-            let cell = self
-                .cells
-                .get_mut(&record.cell)
-                .expect("cell index present");
-            let popped = cell.pop_front();
-            debug_assert_eq!(popped, Some(record.seq));
-            if cell.is_empty() {
-                self.cells.remove(&record.cell);
-            }
+            self.index.pop_oldest(record.cell, record.seq);
             let by_node = &mut self.by_node[record.sender.index()];
             let popped = by_node.pop_front();
             debug_assert_eq!(popped, Some(record.seq));
@@ -515,55 +501,18 @@ impl AirView {
     }
 }
 
-impl AirReads for AirView {
+impl AirRecords for AirView {
     fn get(&self, seq: u64) -> Option<&AirRecord> {
-        AirView::get(self, seq)
+        let index = usize::try_from(seq.checked_sub(self.base_seq)?).ok()?;
+        self.records.get(index)
     }
 
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        let Some(seqs) = self.by_node.get(node.index()) else {
-            return false;
-        };
-        seqs.iter().any(|&seq| {
-            let record = AirView::get(self, seq).expect("indexed record retained");
-            seq != exclude_seq && record.overlaps(start, end)
-        })
+    fn index(&self) -> &CellIndex {
+        &self.index
     }
 
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = cell_of(position, self.cell_size);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = AirView::get(self, seq).expect("indexed record retained");
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
+        self.by_node.get(node.index())
     }
 }
 
@@ -583,23 +532,21 @@ impl AirReads for AirView {
 /// being broadcast to every shard.
 #[derive(Debug, Default)]
 struct GhostAir {
-    cell_size: f64,
     /// Live records in ascending-seq order (mirrors the global view's
     /// retention window for this shard's subset).
     order: VecDeque<u64>,
     records: FxHashMap<u64, AirRecord>,
-    /// Per-cell record seqs, ascending.
-    cells: FxHashMap<Cell, VecDeque<u64>>,
+    index: CellIndex,
     /// Per-sender record seqs, ascending.
     by_node: FxHashMap<u32, VecDeque<u64>>,
 }
 
 impl GhostAir {
     fn clear(&mut self, cell_size: f64) {
-        self.cell_size = cell_size;
+        self.index.cell_size = cell_size;
         self.order.clear();
         self.records.clear();
-        self.cells.clear();
+        self.index.cells.clear();
         self.by_node.clear();
     }
 
@@ -619,7 +566,7 @@ impl GhostAir {
             "ghost records are inserted at most once"
         );
         Self::ordered_push(&mut self.order, record.seq);
-        Self::ordered_push(self.cells.entry(record.cell).or_default(), record.seq);
+        Self::ordered_push(self.index.cells.entry(record.cell).or_default(), record.seq);
         Self::ordered_push(self.by_node.entry(record.sender.0).or_default(), record.seq);
         self.records.insert(record.seq, record.ghost_copy());
     }
@@ -645,13 +592,7 @@ impl GhostAir {
             }
             self.order.pop_front();
             let record = self.records.remove(&seq).expect("ordered record present");
-            if let Some(cell) = self.cells.get_mut(&record.cell) {
-                let popped = cell.pop_front();
-                debug_assert_eq!(popped, Some(seq));
-                if cell.is_empty() {
-                    self.cells.remove(&record.cell);
-                }
-            }
+            self.index.pop_oldest(record.cell, seq);
             if let Some(by_node) = self.by_node.get_mut(&record.sender.0) {
                 let popped = by_node.pop_front();
                 debug_assert_eq!(popped, Some(seq));
@@ -663,55 +604,17 @@ impl GhostAir {
     }
 }
 
-impl AirReads for GhostAir {
+impl AirRecords for GhostAir {
     fn get(&self, seq: u64) -> Option<&AirRecord> {
         self.records.get(&seq)
     }
 
-    fn transmitting_during(
-        &self,
-        node: NodeId,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-    ) -> bool {
-        let Some(seqs) = self.by_node.get(&node.0) else {
-            return false;
-        };
-        seqs.iter().any(|&seq| {
-            let record = &self.records[&seq];
-            seq != exclude_seq && record.overlaps(start, end)
-        })
+    fn index(&self) -> &CellIndex {
+        &self.index
     }
 
-    fn interference_at(
-        &self,
-        receiver: NodeId,
-        position: Position,
-        start: SimTime,
-        end: SimTime,
-        exclude_seq: u64,
-        topology: &Topology,
-    ) -> bool {
-        let (cx, cy) = cell_of(position, self.cell_size);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let Some(seqs) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &seq in seqs {
-                    let record = &self.records[&seq];
-                    if seq != exclude_seq
-                        && record.sender != receiver
-                        && record.overlaps(start, end)
-                        && topology.in_range(record.sender, receiver)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+    fn sent_by(&self, node: NodeId) -> Option<&VecDeque<u64>> {
+        self.by_node.get(&node.0)
     }
 }
 
@@ -757,11 +660,8 @@ enum SpanEnd {
 struct LocalNode<P> {
     id: NodeId,
     protocol: P,
-    meter: EnergyMeter,
-    queue: VecDeque<FramePayload>,
-    transmitting: bool,
-    duty_cycle: Option<DutyCycle>,
-    /// MAC backoff draws.
+    mac: MacState,
+    /// MAC backoff and DFA slot draws.
     mac_rng: StdRng,
     /// Protocol callback draws (`ctx.rng()`).
     proto_rng: StdRng,
@@ -780,12 +680,6 @@ struct LocalNode<P> {
     /// `(tx_idx, seq)` pairs of in-flight transmissions whose global
     /// sequence number is known; consumed by `TxEnd`.
     assigned: VecDeque<(u64, u64)>,
-    /// DFA only: the slot this node committed to transmit in within its
-    /// current frame (the `MacTry` wakeup is on the heap).
-    dfa_slot_at: Option<SimTime>,
-    /// DFA only: where this node's current frame ends; the next frame
-    /// starts at the first slot boundary at or after it.
-    dfa_frame_end: SimTime,
 }
 
 impl<P> LocalNode<P> {
@@ -793,10 +687,7 @@ impl<P> LocalNode<P> {
         LocalNode {
             id,
             protocol,
-            meter: EnergyMeter::new(),
-            queue: VecDeque::new(),
-            transmitting: false,
-            duty_cycle: None,
+            mac: MacState::default(),
             mac_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.mac", id)),
             proto_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.proto", id)),
             chan_rng: StdRng::seed_from_u64(node_stream_seed(seed, "netsim.shard.chan", id)),
@@ -807,8 +698,6 @@ impl<P> LocalNode<P> {
             mac_seq: 0,
             tx_count: 0,
             assigned: VecDeque::new(),
-            dfa_slot_at: None,
-            dfa_frame_end: SimTime::ZERO,
         }
     }
 
@@ -983,11 +872,7 @@ impl<P: Protocol> ShardCore<P> {
                     if !alive {
                         let (shard, local) = ctx.owner[node.index()];
                         if shard as usize == self.index {
-                            let state = &mut self.nodes[local as usize];
-                            state.queue.clear();
-                            state.transmitting = false;
-                            state.dfa_slot_at = None;
-                            state.dfa_frame_end = SimTime::ZERO;
+                            self.nodes[local as usize].mac.reset_on_death();
                         }
                     }
                 }
@@ -998,13 +883,13 @@ impl<P: Protocol> ShardCore<P> {
                 // until revival).
                 if self.topo_mac.is_alive(node) {
                     let local = ctx.local(self.index, node);
-                    self.nodes[local].queue.push_back(payload);
+                    self.nodes[local].mac.queue.push_back(payload);
                     self.push_mac(at, LANE_M_TRY, node, local, MacKind::Try { node });
                 }
             }
             MacKind::TxEnd { node, tx_idx } => {
                 let local = ctx.local(self.index, node);
-                self.nodes[local].transmitting = false;
+                self.nodes[local].mac.transmitting = false;
                 let seq = self.nodes[local].take_assigned(tx_idx);
                 if let (Some(cs), Some(seq)) = (csma.as_mut(), seq) {
                     cs.air.mark_ended(seq);
@@ -1034,46 +919,6 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// DFA framing on the sharded engine: commits the node to one
-    /// uniformly drawn slot of its next frame (drawn from the node's
-    /// private MAC stream, so the draw is shard-placement invariant)
-    /// and schedules the wakeup. Returns `true` when `mac_try` should
-    /// transmit right now — the committed slot has arrived.
-    fn dfa_frame_step(&mut self, at: SimTime, node: NodeId, local: usize, dfa: DfaConfig) -> bool {
-        if let Some(slot_at) = self.nodes[local].dfa_slot_at {
-            if at == slot_at {
-                return true;
-            }
-            if at < slot_at {
-                // An early try (e.g. a freshly queued frame); the slot
-                // wakeup is already on the heap.
-                return false;
-            }
-            // A stale commitment from before the node's queue drained
-            // or the node died; fall through and draw a fresh frame.
-        }
-        let estimate = match dfa.sizing {
-            FrameSizing::Estimated => self.nodes[local].protocol.population_estimate(at),
-            _ => None,
-        };
-        let slots = u64::from(dfa.frame_length(estimate));
-        // The frame starts at the next slot boundary after both `at`
-        // and the previous frame's end, on the absolute slot grid every
-        // node shares.
-        let begin = at.max(self.nodes[local].dfa_frame_end);
-        let frame_start = align_up(begin, dfa.slot);
-        let slot_index = self.nodes[local].mac_rng.gen_range(0..slots);
-        let slot_at = frame_start + dfa.slot * slot_index;
-        let frame_end = frame_start + dfa.slot * slots;
-        let state = &mut self.nodes[local];
-        state.dfa_slot_at = Some(slot_at);
-        state.dfa_frame_end = frame_end;
-        self.dfa.frames += 1;
-        self.dfa.slots += slots;
-        self.push_mac(slot_at, LANE_M_TRY, node, local, MacKind::Try { node });
-        false
-    }
-
     fn mac_try(
         &mut self,
         at: SimTime,
@@ -1086,44 +931,42 @@ impl<P: Protocol> ShardCore<P> {
             return;
         }
         let local = ctx.local(self.index, node);
-        {
-            let state = &self.nodes[local];
-            if state.transmitting || state.queue.is_empty() {
-                return;
-            }
+        if !self.nodes[local].mac.ready() {
+            return;
         }
-        if let Some(&dfa) = ctx.mac.dfa_config() {
-            if !self.dfa_frame_step(at, node, local, dfa) {
-                return;
+        if let Some(dfa) = ctx.mac.dfa_config() {
+            // The slot draw comes from the node's private MAC stream, so
+            // it is shard-placement invariant.
+            let state = &mut self.nodes[local];
+            let protocol = &state.protocol;
+            match state.mac.dfa_frame_step(
+                at,
+                dfa,
+                || protocol.population_estimate(at),
+                &mut state.mac_rng,
+                &mut self.dfa,
+            ) {
+                DfaStep::Transmit => {}
+                DfaStep::Wait => return,
+                DfaStep::WakeAt(slot_at) => {
+                    self.push_mac(slot_at, LANE_M_TRY, node, local, MacKind::Try { node });
+                    return;
+                }
             }
-            self.nodes[local].dfa_slot_at = None;
         }
         let pos = self.topo_mac.position(node);
         if let Some(cs) = csma.as_mut() {
             if cs.air.busy_for(node, pos, at, &self.topo_mac) {
-                let slots = u64::from(
-                    self.nodes[local]
-                        .mac_rng
-                        .gen_range(1..=ctx.mac.max_backoff_slots),
-                );
-                if let Some(o) = obs {
-                    o.mac_backoffs.inc();
-                    o.mac_backoff_slots.add(slots);
-                }
-                let retry = at + ctx.mac.backoff_slot * slots;
+                let retry = rules::backoff(ctx.mac, at, &mut self.nodes[local].mac_rng, obs);
                 self.push_mac(retry, LANE_M_TRY, node, local, MacKind::Try { node });
                 return;
             }
         }
         let state = &mut self.nodes[local];
-        let payload = state.queue.pop_front().expect("checked non-empty above");
-        let bits_on_air = ctx.radio.bits_on_air(payload.bits());
-        let airtime = ctx.radio.airtime(payload.bits());
+        let (payload, bits_on_air, airtime) = state.mac.begin_tx(ctx.radio);
         let end = at + airtime;
         let tx_idx = state.tx_count;
         state.tx_count += 1;
-        state.transmitting = true;
-        state.meter.record_tx(bits_on_air, airtime.as_micros());
         let mut pending = PendingTx {
             node,
             tx_idx,
@@ -1141,7 +984,7 @@ impl<P: Protocol> ShardCore<P> {
             // same-window carrier senses must hear it.
             let seq = *cs.next_seq;
             *cs.next_seq += 1;
-            let cell = cell_of(pos, cs.air.cell_size);
+            let cell = cell_of(pos, cs.air.index.cell_size);
             cs.air.insert(AirRecord {
                 seq,
                 sender: node,
@@ -1167,7 +1010,7 @@ impl<P: Protocol> ShardCore<P> {
 
     /// Drains this shard's receive events inside `[.., t_end)` — fully
     /// shard-parallel; the air view is read-only here.
-    fn run_phase2<A: AirReads>(
+    fn run_phase2<A: AirRecords>(
         &mut self,
         ctx: &EngineCtx<'_>,
         t_end: SimTime,
@@ -1195,7 +1038,7 @@ impl<P: Protocol> ShardCore<P> {
         ctx.owner[node.index()].0 as usize == self.index
     }
 
-    fn dispatch_rx<A: AirReads>(
+    fn dispatch_rx<A: AirRecords>(
         &mut self,
         ev: RxEvent,
         ctx: &EngineCtx<'_>,
@@ -1225,13 +1068,7 @@ impl<P: Protocol> ShardCore<P> {
                         }
                         if alive {
                             // A reborn node boots afresh.
-                            self.rx_heap.push(RxEvent {
-                                at,
-                                lane: LANE_R_START,
-                                a: u64::from(node.0),
-                                b: 0,
-                                kind: RxKind::Start { node },
-                            });
+                            self.rx_heap.push(RxEvent::start(at, node));
                         }
                     }
                 }
@@ -1258,15 +1095,15 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Sender-side DFA slot feedback, mirroring the serial engine's
-    /// `tx_end`: the transmission collided iff a foreign audible
-    /// transmission overlapped its airtime. A collided frame is
-    /// requeued, and either way the sender re-contends at its frame
-    /// boundary — pushed past the current window so the retry never
-    /// lands behind this window's already-run MAC phase (the boundary
-    /// `window_end(at)` depends only on the lookahead, so the deferral
-    /// is shard-count invariant).
-    fn dfa_feedback<A: AirReads>(
+    /// Sender-side DFA slot feedback (the shared rule is
+    /// `MacState::dfa_feedback` in `crate::rules`): the transmission
+    /// collided iff a foreign audible transmission overlapped its
+    /// airtime. The sender re-contends at its frame boundary, pushed
+    /// past the current window so the retry never lands behind this
+    /// window's already-run MAC phase (the boundary `window_end(at)`
+    /// depends only on the lookahead, so the deferral is shard-count
+    /// invariant).
+    fn dfa_feedback<A: AirRecords>(
         &mut self,
         at: SimTime,
         seq: u64,
@@ -1275,26 +1112,14 @@ impl<P: Protocol> ShardCore<P> {
         air: &A,
     ) {
         let record = air.get(seq).expect("feedback record retained");
-        let position = self.topo_rx.position(sender);
-        let collided = air.interference_at(
-            sender,
-            position,
-            record.start,
-            record.end,
-            seq,
-            &self.topo_rx,
-        );
+        let collided = air.interference_at(sender, record.start, record.end, seq, &self.topo_rx);
         let local = ctx.local(self.index, sender);
-        if collided {
-            self.dfa.collisions += 1;
-            if self.topo_rx.is_alive(sender) {
-                let payload = record.frame.payload.clone();
-                self.nodes[local].queue.push_front(payload);
-            }
-        } else {
-            self.dfa.successes += 1;
-        }
-        let frame_end = self.nodes[local].dfa_frame_end;
+        let frame_end = self.nodes[local].mac.dfa_feedback(
+            collided,
+            self.topo_rx.is_alive(sender),
+            || record.frame.payload.clone(),
+            &mut self.dfa,
+        );
         let retry = frame_end.max(window_end(at));
         self.push_mac(
             retry,
@@ -1306,9 +1131,9 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// Judges delivery of transmission `seq` to every owned neighbor of
-    /// `sender`, in node id order — the serial engine's `tx_end`
-    /// receiver loop with per-receiver RNG streams.
-    fn deliver<A: AirReads>(
+    /// `sender`, in node id order, through the shared receive pipeline
+    /// (`crate::rules::receive`) with per-receiver RNG streams.
+    fn deliver<A: AirRecords>(
         &mut self,
         at: SimTime,
         seq: u64,
@@ -1328,167 +1153,43 @@ impl<P: Protocol> ShardCore<P> {
             return;
         }
         let record = air.get(seq).expect("delivery record retained");
-        let bits_on_air = record.bits_on_air;
-        let tx_start = record.start;
-        let tx_end_at = record.end;
-        let airtime_micros = tx_end_at.since(tx_start).as_micros();
-        let rx_nj = bits_on_air as f64 * ctx.radio.energy.rx_nj_per_bit;
+        let tx = Airing {
+            seq,
+            sender,
+            start: record.start,
+            end: record.end,
+            bits_on_air: record.bits_on_air,
+            frame: &record.frame,
+            radio: ctx.radio,
+        };
         for &receiver in &receivers {
             let local = ctx.local(self.index, receiver);
+            let node = &mut self.nodes[local];
             // Draw before any filtering so the stream is identical
             // across duty-cycle and fault configurations.
-            let draw: f64 = self.nodes[local].chan_rng.gen_range(0.0..1.0);
-            if ctx.faults.severs(sender, receiver, at) {
-                self.stats.partition_losses += 1;
-                if let Some(o) = obs {
-                    o.drop_for(LossReason::Partitioned);
-                }
-                self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
-                    at,
-                    from: sender,
-                    to: receiver,
-                    seq,
-                    reason: LossReason::Partitioned,
-                });
-                continue;
-            }
-            if let Some(duty) = self.nodes[local].duty_cycle {
-                if !duty.awake_during(tx_start, tx_end_at) {
-                    self.stats.sleep_misses += 1;
-                    if let Some(o) = obs {
-                        o.drop_for(LossReason::Asleep);
-                    }
-                    self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
-                        at,
-                        from: sender,
-                        to: receiver,
-                        seq,
-                        reason: LossReason::Asleep,
-                    });
-                    continue;
-                }
-            }
-            let position = self.topo_rx.position(receiver);
-            let verdict = air.judge(
-                seq,
-                receiver,
-                position,
-                draw,
-                ctx.radio.frame_loss,
-                &self.topo_rx,
+            let draw: f64 = node.chan_rng.gen_range(0.0..1.0);
+            let topology = &self.topo_rx;
+            let reception = rules::receive(
+                &tx,
+                Receiver {
+                    id: receiver,
+                    mac: &mut node.mac,
+                    fault_bad: &mut node.fault_bad,
+                    fault_rng: &mut node.fault_rng,
+                },
+                ctx.faults,
+                || air.judge(&tx, receiver, draw, topology),
+                &mut self.stats,
+                obs,
             );
-            match verdict {
-                Verdict::Failed(failure) => {
-                    match failure {
-                        DeliveryFailure::HalfDuplex => self.stats.half_duplex_losses += 1,
-                        DeliveryFailure::RfCollision => {
-                            self.nodes[local]
-                                .meter
-                                .record_rx(bits_on_air, airtime_micros);
-                            self.stats.rf_collisions += 1;
-                        }
-                        DeliveryFailure::RandomLoss => {
-                            self.nodes[local]
-                                .meter
-                                .record_rx(bits_on_air, airtime_micros);
-                            self.stats.random_losses += 1;
-                        }
-                    }
-                    if let Some(o) = obs {
-                        o.drop_for(failure.into());
-                        if !matches!(failure, DeliveryFailure::HalfDuplex) {
-                            o.energy_rx_nj.shift(rx_nj);
-                        }
-                    }
-                    self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
-                        at,
-                        from: sender,
-                        to: receiver,
-                        seq,
-                        reason: failure.into(),
-                    });
-                }
-                Verdict::Delivered => {
-                    self.nodes[local]
-                        .meter
-                        .record_rx(bits_on_air, airtime_micros);
-                    if let Some(o) = obs {
-                        o.energy_rx_nj.shift(rx_nj);
-                    }
-                    // The fault channel judges last, from the receiver's
-                    // own fault stream: erasure drops the frame, a
-                    // positive BER may flip bits on a per-receiver copy.
-                    let mut corrupted: Option<(Frame, u64)> = None;
-                    if let Some(channel) = ctx.faults.channel() {
-                        let state = &mut self.nodes[local];
-                        let fault = channel.judge_frame(&mut state.fault_bad, &mut state.fault_rng);
-                        if fault.erased {
-                            self.stats.fault_erasures += 1;
-                            if let Some(o) = obs {
-                                o.drop_for(LossReason::FaultErasure);
-                            }
-                            self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Lost {
-                                at,
-                                from: sender,
-                                to: receiver,
-                                seq,
-                                reason: LossReason::FaultErasure,
-                            });
-                            continue;
-                        }
-                        if fault.bit_error_rate > 0.0 {
-                            let mut mangled = (*record.frame).clone();
-                            let mut flipped = 0u64;
-                            for bit in 0..mangled.payload.bits() {
-                                if state.fault_rng.gen_range(0.0..1.0) < fault.bit_error_rate {
-                                    mangled.payload.flip_bit(bit);
-                                    flipped += 1;
-                                }
-                            }
-                            if flipped > 0 {
-                                corrupted = Some((mangled, flipped));
-                            }
-                        }
-                    }
-                    self.stats.deliveries += 1;
-                    if let Some(o) = obs {
-                        o.deliveries.inc();
-                    }
-                    match corrupted {
-                        Some((mangled, flipped)) => {
-                            self.stats.corrupted_deliveries += 1;
-                            self.stats.flipped_bits += flipped;
-                            if let Some(o) = obs {
-                                o.corrupted_deliveries.inc();
-                                o.flipped_bits.add(flipped);
-                            }
-                            self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Corrupted {
-                                at,
-                                from: sender,
-                                to: receiver,
-                                seq,
-                                flipped_bits: flipped,
-                            });
-                            self.with_ctx(local, at, ctx, |protocol, c| {
-                                protocol.on_frame(c, &mangled);
-                            });
-                            self.drain_commands(local, at, ctx);
-                        }
-                        None => {
-                            self.trace_rx(ctx, at, seq, receiver, || TraceEvent::Delivered {
-                                at,
-                                from: sender,
-                                to: receiver,
-                                seq,
-                            });
-                            let frame = &record.frame;
-                            self.with_ctx(local, at, ctx, |protocol, c| {
-                                protocol.on_frame(c, frame);
-                            });
-                            self.drain_commands(local, at, ctx);
-                        }
-                    }
-                }
+            self.trace_rx(ctx, at, seq, receiver, || {
+                reception.trace_event(&tx, receiver)
+            });
+            if let Some(received) = reception.frame(&tx) {
+                self.with_ctx(local, at, ctx, |protocol, c| {
+                    protocol.on_frame(c, received);
+                });
+                self.drain_commands(local, at, ctx);
             }
         }
         receivers.clear();
@@ -1522,7 +1223,7 @@ impl<P: Protocol> ShardCore<P> {
         // Queue depth as of the end of this window's MAC phase — the
         // receive phase's view lags true MAC state by at most one
         // lookahead.
-        let pending_frames = state.queue.len() + usize::from(state.transmitting);
+        let pending_frames = state.mac.pending_frames();
         let mut c = Context {
             now: at,
             node: state.id,
@@ -1535,43 +1236,41 @@ impl<P: Protocol> ShardCore<P> {
         f(&mut state.protocol, &mut c);
     }
 
+    /// Applies the commands the last callback buffered. Applying one
+    /// runs no callback, so a single pass drains them all.
     fn drain_commands(&mut self, local: usize, at: SimTime, ctx: &EngineCtx<'_>) {
-        while !self.commands.is_empty() {
-            let mut batch = std::mem::take(&mut self.commands);
-            for command in batch.drain(..) {
-                match command {
-                    Command::Send { node, payload } => {
-                        debug_assert!(self.owns(ctx, node), "nodes only send as themselves");
-                        let node_local = ctx.local(self.index, node);
-                        // One MAC turnaround after the callback — the
-                        // lookahead bound that makes windows independent.
-                        let enqueue_at = at + LOOKAHEAD;
-                        self.push_mac(
-                            enqueue_at,
-                            LANE_M_ENQ,
-                            node,
-                            node_local,
-                            MacKind::Enqueue { node, payload },
-                        );
-                    }
-                    Command::SetTimer { node, at, timer } => {
-                        self.rx_heap.push(RxEvent {
-                            at,
-                            lane: LANE_R_TIMER,
-                            a: u64::from(node.0),
-                            b: timer.handle.0,
-                            kind: RxKind::Timer { node, timer },
-                        });
-                    }
-                    Command::CancelTimer { handle } => {
-                        self.nodes[local].cancelled.insert(handle);
-                    }
+        let mut batch = std::mem::take(&mut self.commands);
+        for command in batch.drain(..) {
+            match command {
+                Command::Send { node, payload } => {
+                    debug_assert!(self.owns(ctx, node), "nodes only send as themselves");
+                    let node_local = ctx.local(self.index, node);
+                    // One MAC turnaround after the callback — the
+                    // lookahead bound that makes windows independent.
+                    let enqueue_at = at + LOOKAHEAD;
+                    self.push_mac(
+                        enqueue_at,
+                        LANE_M_ENQ,
+                        node,
+                        node_local,
+                        MacKind::Enqueue { node, payload },
+                    );
+                }
+                Command::SetTimer { node, at, timer } => {
+                    self.rx_heap.push(RxEvent {
+                        at,
+                        lane: LANE_R_TIMER,
+                        a: u64::from(node.0),
+                        b: timer.handle.0,
+                        kind: RxKind::Timer { node, timer },
+                    });
+                }
+                Command::CancelTimer { handle } => {
+                    self.nodes[local].cancelled.insert(handle);
                 }
             }
-            if self.commands.is_empty() {
-                self.commands = batch;
-            }
         }
+        self.commands = batch;
     }
 }
 
@@ -1690,7 +1389,7 @@ impl ShardedSimBuilder {
             master_dyn: BinaryHeap::new(),
             next_dyn_idx: 0,
             next_seq: 0,
-            frames_sent: 0,
+            tx_stats: MediumStats::default(),
             factory: Box::new(factory),
             tracer: None,
             obs: None,
@@ -1754,9 +1453,9 @@ pub struct ShardedSim<P> {
     master_dyn: BinaryHeap<MasterDyn>,
     next_dyn_idx: u64,
     next_seq: u64,
-    /// Global transmission counter (the only MediumStats field counted
-    /// at the barrier rather than per shard).
-    frames_sent: u64,
+    /// Counters kept at the barrier rather than per shard (transmission
+    /// starts).
+    tx_stats: MediumStats,
     factory: Box<dyn FnMut(NodeId) -> P>,
     tracer: Option<Tracer>,
     obs: Option<NetsimObs>,
@@ -1827,13 +1526,7 @@ impl<P: Protocol> ShardedSim<P> {
             .nodes
             .push(LocalNode::new(self.seed, id, protocol));
         let at = self.now;
-        self.cores[0].rx_heap.push(RxEvent {
-            at,
-            lane: LANE_R_START,
-            a: u64::from(id.0),
-            b: 0,
-            kind: RxKind::Start { node: id },
-        });
+        self.cores[0].rx_heap.push(RxEvent::start(at, id));
         id
     }
 
@@ -1850,7 +1543,13 @@ impl<P: Protocol> ShardedSim<P> {
     fn push_dynamic(&mut self, at: SimTime, action: DynAction) {
         let idx = self.next_dyn_idx;
         self.next_dyn_idx += 1;
-        self.master_dyn.push(MasterDyn { at, idx, action });
+        self.master_dyn.push(MasterDyn {
+            at,
+            lane: 0,
+            a: idx,
+            b: 0,
+            kind: action,
+        });
         for core in &mut self.cores {
             core.mac_heap.push(MacEvent {
                 at,
@@ -1876,7 +1575,9 @@ impl<P: Protocol> ShardedSim<P> {
     /// Panics if `node` was never added.
     pub fn set_duty_cycle(&mut self, node: NodeId, duty_cycle: Option<DutyCycle>) {
         let (shard, local) = self.owner[node.index()];
-        self.cores[shard as usize].nodes[local as usize].duty_cycle = duty_cycle;
+        self.cores[shard as usize].nodes[local as usize]
+            .mac
+            .duty_cycle = duty_cycle;
     }
 
     /// The current simulated time.
@@ -1925,21 +1626,9 @@ impl<P: Protocol> ShardedSim<P> {
     /// Medium-level counters, summed across shards.
     #[must_use]
     pub fn stats(&self) -> MediumStats {
-        let mut total = MediumStats {
-            frames_sent: self.frames_sent,
-            ..MediumStats::default()
-        };
+        let mut total = self.tx_stats;
         for core in &self.cores {
-            let s = &core.stats;
-            total.deliveries += s.deliveries;
-            total.rf_collisions += s.rf_collisions;
-            total.half_duplex_losses += s.half_duplex_losses;
-            total.random_losses += s.random_losses;
-            total.sleep_misses += s.sleep_misses;
-            total.fault_erasures += s.fault_erasures;
-            total.partition_losses += s.partition_losses;
-            total.corrupted_deliveries += s.corrupted_deliveries;
-            total.flipped_bits += s.flipped_bits;
+            total.merge(&core.stats);
         }
         total
     }
@@ -1998,7 +1687,7 @@ impl<P: Protocol> ShardedSim<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn meter(&self, node: NodeId) -> &EnergyMeter {
-        &self.local_node(node).meter
+        &self.local_node(node).mac.meter
     }
 
     /// Network-wide energy meter (sum over nodes).
@@ -2007,7 +1696,7 @@ impl<P: Protocol> ShardedSim<P> {
         let mut total = EnergyMeter::new();
         for core in &self.cores {
             for node in &core.nodes {
-                total.merge(&node.meter);
+                total.merge(&node.mac.meter);
             }
         }
         total
@@ -2020,11 +1709,7 @@ impl<P: Protocol> ShardedSim<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn awake_micros(&self, node: NodeId) -> u64 {
-        let elapsed = self.now.as_micros();
-        match self.local_node(node).duty_cycle {
-            Some(duty) => (elapsed as f64 * duty.on_fraction()) as u64,
-            None => elapsed,
-        }
+        self.local_node(node).mac.awake_micros(self.now)
     }
 
     /// A node's total radio energy so far in nanojoules, including idle
@@ -2036,8 +1721,8 @@ impl<P: Protocol> ShardedSim<P> {
     #[must_use]
     pub fn energy_nj(&self, node: NodeId) -> f64 {
         self.local_node(node)
-            .meter
-            .total_energy_with_idle_nj(&self.radio.energy, self.awake_micros(node))
+            .mac
+            .energy_nj(&self.radio.energy, self.now)
     }
 
     /// Enables event tracing with a bounded ring buffer of `capacity`
@@ -2096,7 +1781,7 @@ impl<P: Protocol> ShardedSim<P> {
             return;
         }
         self.placement_dirty = false;
-        let desired = stripe_placement(&self.master, self.air.cell_size, self.cores.len());
+        let desired = stripe_placement(&self.master, self.air.index.cell_size, self.cores.len());
         debug_assert_eq!(desired.len(), self.owner.len());
         debug_assert!(desired.iter().all(|&s| (s as usize) < self.cores.len()));
         if desired
@@ -2166,13 +1851,7 @@ impl<P: Protocol> ShardedSim<P> {
         }
         for (seq, (at, sender)) in pending_delivers {
             for core in &mut self.cores {
-                core.rx_heap.push(RxEvent {
-                    at,
-                    lane: LANE_R_DELIVER,
-                    a: seq,
-                    b: 0,
-                    kind: RxKind::Deliver { seq, sender },
-                });
+                core.rx_heap.push(RxEvent::deliver(at, seq, sender));
             }
         }
     }
@@ -2213,7 +1892,7 @@ impl<P: Protocol> ShardedSim<P> {
         for index in 0..self.owner.len() {
             let node = NodeId(index as u32);
             let shard = self.owner[index].0 as usize;
-            let (cx, cy) = cell_of(self.master.position(node), self.air.cell_size);
+            let (cx, cy) = cell_of(self.master.position(node), self.air.index.cell_size);
             for dx in -1..=1 {
                 for dy in -1..=1 {
                     *self.cores[shard]
@@ -2232,7 +1911,7 @@ impl<P: Protocol> ShardedSim<P> {
     /// horizon.
     fn rebuild_ghosts(&mut self) {
         for core in &mut self.cores {
-            core.ghost.clear(self.air.cell_size);
+            core.ghost.clear(self.air.index.cell_size);
         }
         for record in &self.air.records {
             for core in &mut self.cores {
@@ -2305,7 +1984,7 @@ fn apply_master_dynamics<P: Protocol>(
             break;
         }
         let dynamic = master_dyn.pop().expect("peeked above");
-        match dynamic.action {
+        match dynamic.kind {
             DynAction::Move { node, to } => {
                 let (old_cell, new_cell) = master.set_position_tracked(node, to);
                 if !interest_routing || old_cell == new_cell {
@@ -2350,7 +2029,7 @@ fn backfill_gained_cell<P: Protocol>(
     cell: Cell,
     since: SimTime,
 ) {
-    if let Some(seqs) = air.cells.get(&cell) {
+    if let Some(seqs) = air.index.cells.get(&cell) {
         for &seq in seqs {
             ghost_route(core, air, seq, since);
         }
@@ -2402,16 +2081,8 @@ fn ghost_route<P: Protocol>(core: &mut ShardCore<P>, air: &AirView, seq: u64, si
         return;
     }
     core.ghost.insert(record);
-    core.rx_heap.push(RxEvent {
-        at: record.end,
-        lane: LANE_R_DELIVER,
-        a: seq,
-        b: 0,
-        kind: RxKind::Deliver {
-            seq,
-            sender: record.sender,
-        },
-    });
+    core.rx_heap
+        .push(RxEvent::deliver(record.end, seq, record.sender));
 }
 
 /// Applies the interest decrements a window's dynamics deferred (see
@@ -2496,7 +2167,7 @@ fn assign_and_broadcast<P: Protocol>(
     cores: &mut [&mut ShardCore<P>],
     air: &mut AirView,
     next_seq: &mut u64,
-    frames_sent: &mut u64,
+    tx_stats: &mut MediumStats,
     trace_main: &mut Vec<(TraceKey, TraceEvent)>,
     merge: &mut Vec<PendingTx>,
     mut obs: Option<&mut NetsimObs>,
@@ -2531,27 +2202,19 @@ fn assign_and_broadcast<P: Protocol>(
                 seq
             }
         };
-        *frames_sent += 1;
-        if tracing {
-            trace_main.push((
-                (p.start.as_micros(), LANE_T_TX, seq, 0),
-                TraceEvent::TxStart {
-                    at: p.start,
-                    node: p.node,
-                    seq,
-                    bits: p.bits_on_air,
-                },
-            ));
+        let event = TxStart {
+            at: p.start,
+            node: p.node,
+            seq,
+            bits_on_air: p.bits_on_air,
+            airtime_micros: p.airtime_micros,
         }
-        if let Some(o) = obs.as_deref_mut() {
-            o.frames_sent.inc();
-            o.tx_bits.add(p.bits_on_air);
-            o.airtime_micros.add(p.airtime_micros);
-            o.energy_tx_nj.shift(p.bits_on_air as f64 * tx_nj_per_bit);
-            o.tx_span_start(seq, p.start.as_micros());
+        .record(tx_stats, obs.as_deref_mut(), tx_nj_per_bit);
+        if tracing {
+            trace_main.push(((p.start.as_micros(), LANE_T_TX, seq, 0), event));
         }
         if let Some(frame) = p.frame {
-            let cell = cell_of(p.pos, air.cell_size);
+            let cell = cell_of(p.pos, air.index.cell_size);
             air.insert(AirRecord {
                 seq,
                 sender: p.node,
@@ -2573,16 +2236,7 @@ fn assign_and_broadcast<P: Protocol>(
                 }
                 core.ghost.insert(record);
             }
-            core.rx_heap.push(RxEvent {
-                at: p.end,
-                lane: LANE_R_DELIVER,
-                a: seq,
-                b: 0,
-                kind: RxKind::Deliver {
-                    seq,
-                    sender: p.node,
-                },
-            });
+            core.rx_heap.push(RxEvent::deliver(p.end, seq, p.node));
         }
         if dfa {
             // Sender-side slot feedback, routed only to the sender's
@@ -2687,7 +2341,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             cores,
             air,
             next_seq,
-            frames_sent,
+            tx_stats,
             trace_main,
             merge_scratch,
             obs,
@@ -2709,7 +2363,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
             deadline,
             owner,
         };
-        let slack = radio.airtime(radio.max_frame_bytes as u32 * 8) * 2;
         let mut refs: Vec<&mut ShardCore<P>> = cores.iter_mut().collect();
         let multi = refs.len() > 1;
         loop {
@@ -2739,7 +2392,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 &mut refs,
                 air,
                 next_seq,
-                frames_sent,
+                tx_stats,
                 trace_main,
                 merge_scratch,
                 obs.as_mut(),
@@ -2749,7 +2402,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 mac.dfa_config().is_some(),
             );
             apply_interest_decrements(&mut refs, &deferred);
-            let horizon = SimTime::from_micros(t_end.as_micros().saturating_sub(slack.as_micros()));
+            let horizon = rules::prune_horizon(radio, t_end);
             for core in refs.iter_mut() {
                 let rx_was_idle = core.rx_idle(t_end, deadline);
                 if !rx_was_idle {
@@ -2777,7 +2430,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
             cores,
             air,
             next_seq,
-            frames_sent,
+            tx_stats,
             trace_main,
             merge_scratch,
             master,
@@ -2818,7 +2471,6 @@ impl<P: Protocol + Send> ShardedSim<P> {
         let done = AtomicBool::new(false);
         let panicked = AtomicBool::new(false);
         let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let slack = radio.airtime(radio.max_frame_bytes as u32 * 8) * 2;
         // A panic on the main thread must not unwind inside the scope:
         // the workers would be parked at a barrier and the scope's
         // implicit join would deadlock. Every main-thread segment runs
@@ -2880,10 +2532,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                             if core.mac_was_idle && rx_was_idle {
                                 core.windows_skipped += 1;
                             }
-                            let horizon = SimTime::from_micros(
-                                t_end.as_micros().saturating_sub(slack.as_micros()),
-                            );
-                            core.ghost.prune(horizon);
+                            core.ghost.prune(rules::prune_horizon(ctx.radio, t_end));
                             // Publish this shard's next-activity time:
                             // every event the merge or the phases could
                             // push for this window is in by now, so the
@@ -2985,7 +2634,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                             &mut refs,
                             air,
                             next_seq,
-                            frames_sent,
+                            tx_stats,
                             trace_main,
                             merge_scratch,
                             None,
@@ -3010,10 +2659,7 @@ impl<P: Protocol + Send> ShardedSim<P> {
                 // barrier B (air garbage collection) overlaps with it.
                 if !panicked.load(AtomicOrdering::Relaxed) {
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        let horizon = SimTime::from_micros(
-                            t_end.as_micros().saturating_sub(slack.as_micros()),
-                        );
-                        air.prune(horizon);
+                        air.prune(rules::prune_horizon(radio, t_end));
                     }));
                     if let Err(payload) = result {
                         panicked.store(true, AtomicOrdering::Relaxed);

@@ -4,10 +4,12 @@
 //! medium, the per-node MAC state, and every protocol instance. All
 //! randomness flows from a single seeded RNG, and simultaneous events
 //! are ordered by insertion sequence, so a run is a pure function of
-//! `(seed, configuration, schedule of calls)`.
+//! `(seed, configuration, schedule of calls)`. The radio rules — the
+//! receive pipeline, DFA framing, transmission accounting — are shared
+//! with the sharded engine through `crate::rules`.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,64 +18,19 @@ use retri_obs::Obs;
 
 use crate::energy::EnergyMeter;
 use crate::fault::{fault_stream_seed, ChurnEvent, FaultModel};
-use crate::frame::{Frame, FramePayload};
+use crate::frame::Frame;
 use crate::grid::FxHashSet;
-use crate::mac::{DfaConfig, DfaStats, MacConfig};
-use crate::medium::{DeliveryFailure, Medium, Verdict};
+use crate::mac::{DfaStats, MacConfig};
+use crate::medium::Medium;
 use crate::node::{Command, Context, NodeId, Protocol, Timer, TimerHandle};
 use crate::obs::NetsimObs;
 use crate::radio::RadioConfig;
+use crate::rules::{self, AirReads, Airing, DfaStep, MacState, Receiver, TxStart};
 use crate::time::SimTime;
 use crate::topology::{Position, Topology};
-use crate::trace::{LossReason, TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer};
 
-/// Medium-level counters for a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct MediumStats {
-    /// Frames handed to the air.
-    pub frames_sent: u64,
-    /// Successful frame deliveries (one per receiver).
-    pub deliveries: u64,
-    /// Deliveries lost to overlapping transmissions.
-    pub rf_collisions: u64,
-    /// Deliveries missed because the receiver was itself transmitting.
-    pub half_duplex_losses: u64,
-    /// Deliveries lost to the independent random-loss draw.
-    pub random_losses: u64,
-    /// Deliveries missed because the receiver's radio was duty-cycled
-    /// off.
-    pub sleep_misses: u64,
-    /// Deliveries erased outright by the fault channel.
-    pub fault_erasures: u64,
-    /// Deliveries severed by a fault-model partition window.
-    pub partition_losses: u64,
-    /// Deliveries that arrived with at least one flipped payload bit
-    /// (included in `deliveries`: the frame did reach the protocol).
-    pub corrupted_deliveries: u64,
-    /// Total payload bits flipped across all corrupted deliveries.
-    pub flipped_bits: u64,
-}
-
-impl core::fmt::Display for MediumStats {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{} sent, {} delivered, {} RF-collided, {} half-duplex, {} random losses, \
-             {} sleep misses, {} fault erasures, {} partition losses, {} corrupted ({} bits)",
-            self.frames_sent,
-            self.deliveries,
-            self.rf_collisions,
-            self.half_duplex_losses,
-            self.random_losses,
-            self.sleep_misses,
-            self.fault_erasures,
-            self.partition_losses,
-            self.corrupted_deliveries,
-            self.flipped_bits
-        )
-    }
-}
+pub use crate::rules::MediumStats;
 
 #[derive(Debug)]
 enum EventKind {
@@ -112,21 +69,6 @@ impl Ord for Event {
         // first-inserted) event is popped first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-#[derive(Debug)]
-struct NodeState<P> {
-    protocol: P,
-    meter: EnergyMeter,
-    queue: VecDeque<FramePayload>,
-    transmitting: bool,
-    duty_cycle: Option<crate::radio::DutyCycle>,
-    /// DFA only: the slot this node committed to transmit in within its
-    /// current frame; `None` when no frame is in progress.
-    dfa_slot_at: Option<SimTime>,
-    /// DFA only: where this node's current frame ends; the next frame
-    /// starts no earlier.
-    dfa_frame_end: SimTime,
 }
 
 /// Configures and constructs a [`Simulator`].
@@ -226,7 +168,8 @@ impl SimBuilder {
             topology: Topology::new(self.range),
             medium: Medium::new(),
             rng: StdRng::seed_from_u64(self.seed),
-            nodes: Vec::new(),
+            protocols: Vec::new(),
+            macs: Vec::new(),
             factory: Box::new(factory),
             heap: BinaryHeap::new(),
             event_seq: 0,
@@ -258,7 +201,10 @@ pub struct Simulator<P> {
     topology: Topology,
     medium: Medium,
     rng: StdRng,
-    nodes: Vec<NodeState<P>>,
+    /// Per-node protocol instances, indexed by node.
+    protocols: Vec<P>,
+    /// Per-node MAC and radio state, indexed by node.
+    macs: Vec<MacState>,
     factory: Box<dyn FnMut(NodeId) -> P>,
     heap: BinaryHeap<Event>,
     event_seq: u64,
@@ -286,7 +232,7 @@ impl<P> core::fmt::Debug for Simulator<P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.protocols.len())
             .field("pending_events", &self.heap.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -309,15 +255,8 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn push_node(&mut self, id: NodeId, protocol: P) -> NodeId {
-        self.nodes.push(NodeState {
-            protocol,
-            meter: EnergyMeter::new(),
-            queue: VecDeque::new(),
-            transmitting: false,
-            duty_cycle: None,
-            dfa_slot_at: None,
-            dfa_frame_end: SimTime::ZERO,
-        });
+        self.protocols.push(protocol);
+        self.macs.push(MacState::default());
         self.fault_bad.push(false);
         let at = self.now;
         self.schedule(at, EventKind::NodeStart(id));
@@ -333,7 +272,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if `node` was never added.
     pub fn set_duty_cycle(&mut self, node: NodeId, duty_cycle: Option<crate::radio::DutyCycle>) {
-        self.nodes[node.index()].duty_cycle = duty_cycle;
+        self.macs[node.index()].duty_cycle = duty_cycle;
     }
 
     /// The current simulated time.
@@ -369,12 +308,12 @@ impl<P: Protocol> Simulator<P> {
     /// Number of nodes added so far.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.protocols.len()
     }
 
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.protocols.len() as u32).map(NodeId)
     }
 
     /// The protocol instance of a node, for post-run inspection.
@@ -384,7 +323,7 @@ impl<P: Protocol> Simulator<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn protocol(&self, node: NodeId) -> &P {
-        &self.nodes[node.index()].protocol
+        &self.protocols[node.index()]
     }
 
     /// Mutable access to a node's protocol (e.g. to inject workload
@@ -394,7 +333,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if `node` was never added.
     pub fn protocol_mut(&mut self, node: NodeId) -> &mut P {
-        &mut self.nodes[node.index()].protocol
+        &mut self.protocols[node.index()]
     }
 
     /// A node's energy meter.
@@ -404,14 +343,14 @@ impl<P: Protocol> Simulator<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn meter(&self, node: NodeId) -> &EnergyMeter {
-        &self.nodes[node.index()].meter
+        &self.macs[node.index()].meter
     }
 
     /// Network-wide energy meter (sum over nodes).
     #[must_use]
     pub fn total_meter(&self) -> EnergyMeter {
         let mut total = EnergyMeter::new();
-        for state in &self.nodes {
+        for state in &self.macs {
             total.merge(&state.meter);
         }
         total
@@ -425,11 +364,7 @@ impl<P: Protocol> Simulator<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn awake_micros(&self, node: NodeId) -> u64 {
-        let elapsed = self.now.as_micros();
-        match self.nodes[node.index()].duty_cycle {
-            Some(duty) => (elapsed as f64 * duty.on_fraction()) as u64,
-            None => elapsed,
-        }
+        self.macs[node.index()].awake_micros(self.now)
     }
 
     /// A node's total radio energy so far in nanojoules, including idle
@@ -440,9 +375,7 @@ impl<P: Protocol> Simulator<P> {
     /// Panics if `node` was never added.
     #[must_use]
     pub fn energy_nj(&self, node: NodeId) -> f64 {
-        self.nodes[node.index()]
-            .meter
-            .total_energy_with_idle_nj(&self.radio.energy, self.awake_micros(node))
+        self.macs[node.index()].energy_nj(&self.radio.energy, self.now)
     }
 
     /// Enables event tracing with a bounded ring buffer of `capacity`
@@ -543,16 +476,11 @@ impl<P: Protocol> Simulator<P> {
                 self.topology.set_alive(node, alive);
                 let at = self.now;
                 self.trace_with(|| TraceEvent::Liveness { at, node, alive });
-                if !alive {
-                    let state = &mut self.nodes[node.index()];
-                    state.queue.clear();
-                    state.transmitting = false;
-                    state.dfa_slot_at = None;
-                    state.dfa_frame_end = SimTime::ZERO;
-                } else {
+                if alive {
                     // A reborn node boots afresh.
-                    let at = self.now;
                     self.schedule(at, EventKind::NodeStart(node));
+                } else {
+                    self.macs[node.index()].reset_on_death();
                 }
             }
         }
@@ -560,8 +488,6 @@ impl<P: Protocol> Simulator<P> {
     }
 
     fn with_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut P, &mut Context<'_>)) {
-        let state = &mut self.nodes[node.index()];
-        let pending_frames = state.queue.len() + usize::from(state.transmitting);
         let mut ctx = Context {
             now: self.now,
             node,
@@ -569,149 +495,104 @@ impl<P: Protocol> Simulator<P> {
             commands: &mut self.commands,
             next_timer_handle: &mut self.next_timer_handle,
             max_frame_bytes: self.radio.max_frame_bytes,
-            pending_frames,
+            pending_frames: self.macs[node.index()].pending_frames(),
         };
-        f(&mut state.protocol, &mut ctx);
+        f(&mut self.protocols[node.index()], &mut ctx);
     }
 
+    /// Applies the commands the last callback buffered. Applying one
+    /// runs no callback, so a single pass drains them all.
     fn apply_commands(&mut self) {
-        // Callbacks may enqueue more commands while earlier ones are
-        // applied (not currently possible, but drain defensively).
-        while !self.commands.is_empty() {
-            let mut batch = std::mem::take(&mut self.commands);
-            for command in batch.drain(..) {
-                match command {
-                    Command::Send { node, payload } => {
-                        self.nodes[node.index()].queue.push_back(payload);
-                        let at = self.now;
-                        self.schedule(at, EventKind::MacTry(node));
-                    }
-                    Command::SetTimer { node, at, timer } => {
-                        self.schedule(at, EventKind::Timer { node, timer });
-                    }
-                    Command::CancelTimer { handle } => {
-                        self.cancelled.insert(handle);
-                    }
+        if self.commands.is_empty() {
+            return;
+        }
+        // Reuse the batch's capacity for future events: the steady
+        // state enqueues and drains commands with no allocation.
+        let mut batch = std::mem::take(&mut self.commands);
+        for command in batch.drain(..) {
+            match command {
+                Command::Send { node, payload } => {
+                    self.macs[node.index()].queue.push_back(payload);
+                    let at = self.now;
+                    self.schedule(at, EventKind::MacTry(node));
+                }
+                Command::SetTimer { node, at, timer } => {
+                    self.schedule(at, EventKind::Timer { node, timer });
+                }
+                Command::CancelTimer { handle } => {
+                    self.cancelled.insert(handle);
                 }
             }
-            // Reuse the batch's capacity for future events: the steady
-            // state enqueues and drains commands with no allocation.
-            if self.commands.is_empty() {
-                self.commands = batch;
-            }
         }
-    }
-
-    /// DFA framing: commits the node to one uniformly drawn slot of its
-    /// next frame (sized by the config, for `Estimated` from the
-    /// protocol's live population estimate) and schedules the wakeup.
-    /// Returns `true` when `mac_try` should transmit right now — the
-    /// committed slot has arrived.
-    fn dfa_frame_step(&mut self, node: NodeId, dfa: DfaConfig) -> bool {
-        if let Some(slot_at) = self.nodes[node.index()].dfa_slot_at {
-            if self.now == slot_at {
-                return true;
-            }
-            if self.now < slot_at {
-                // An early try (e.g. a freshly queued frame); the slot
-                // wakeup is already on the heap.
-                return false;
-            }
-            // A stale commitment from before the node's queue drained
-            // or the node died; fall through and draw a fresh frame.
-        }
-        let estimate = match dfa.sizing {
-            crate::mac::FrameSizing::Estimated => self.nodes[node.index()]
-                .protocol
-                .population_estimate(self.now),
-            _ => None,
-        };
-        let slots = u64::from(dfa.frame_length(estimate));
-        let state = &self.nodes[node.index()];
-        // The frame starts at the next slot boundary after both `now`
-        // and the previous frame's end, on the absolute slot grid every
-        // node shares.
-        let begin = self.now.max(state.dfa_frame_end);
-        let frame_start = align_up(begin, dfa.slot);
-        let slot_index = self.rng.gen_range(0..slots);
-        let slot_at = frame_start + dfa.slot * slot_index;
-        let frame_end = frame_start + dfa.slot * slots;
-        let state = &mut self.nodes[node.index()];
-        state.dfa_slot_at = Some(slot_at);
-        state.dfa_frame_end = frame_end;
-        self.dfa_stats.frames += 1;
-        self.dfa_stats.slots += slots;
-        self.schedule(slot_at, EventKind::MacTry(node));
-        false
+        self.commands = batch;
     }
 
     fn mac_try(&mut self, node: NodeId) {
-        if !self.topology.is_alive(node) {
+        if !self.topology.is_alive(node) || !self.macs[node.index()].ready() {
             return;
         }
-        {
-            let state = &self.nodes[node.index()];
-            if state.transmitting || state.queue.is_empty() {
-                return;
+        let now = self.now;
+        if let Some(dfa) = self.mac.dfa_config() {
+            let protocol = &self.protocols[node.index()];
+            match self.macs[node.index()].dfa_frame_step(
+                now,
+                dfa,
+                || protocol.population_estimate(now),
+                &mut self.rng,
+                &mut self.dfa_stats,
+            ) {
+                DfaStep::Transmit => {}
+                DfaStep::Wait => return,
+                DfaStep::WakeAt(at) => {
+                    self.schedule(at, EventKind::MacTry(node));
+                    return;
+                }
             }
-        }
-        if let Some(&dfa) = self.mac.dfa_config() {
-            if !self.dfa_frame_step(node, dfa) {
-                return;
-            }
-            self.nodes[node.index()].dfa_slot_at = None;
-        } else if self.mac.carrier_sense && self.medium.busy_for(node, self.now, &self.topology) {
-            let slots = u64::from(self.rng.gen_range(1..=self.mac.max_backoff_slots));
-            if let Some(o) = &self.obs {
-                o.mac_backoffs.inc();
-                o.mac_backoff_slots.add(slots);
-            }
-            let at = self.now + self.mac.backoff_slot * slots;
+        } else if self.mac.carrier_sense && self.medium.busy_for(node, now, &self.topology) {
+            let at = rules::backoff(&self.mac, now, &mut self.rng, self.obs.as_ref());
             self.schedule(at, EventKind::MacTry(node));
             return;
         }
-        let payload = self.nodes[node.index()]
-            .queue
-            .pop_front()
-            .expect("checked non-empty above");
-        let bits_on_air = self.radio.bits_on_air(payload.bits());
-        let airtime = self.radio.airtime(payload.bits());
-        let frame = Frame::new(node, payload);
-        let end = self.now + airtime;
+        let (payload, bits_on_air, airtime) = self.macs[node.index()].begin_tx(&self.radio);
+        let end = now + airtime;
         let seq = self
             .medium
-            .begin_tx(node, self.now, end, frame, bits_on_air);
-        let state = &mut self.nodes[node.index()];
-        state.transmitting = true;
-        state.meter.record_tx(bits_on_air, airtime.as_micros());
-        self.stats.frames_sent += 1;
-        let at = self.now;
-        self.trace_with(|| TraceEvent::TxStart {
-            at,
+            .begin_tx(node, now, end, Frame::new(node, payload), bits_on_air);
+        let event = TxStart {
+            at: now,
             node,
             seq,
-            bits: bits_on_air,
-        });
-        if let Some(o) = &mut self.obs {
-            o.frames_sent.inc();
-            o.tx_bits.add(bits_on_air);
-            o.airtime_micros.add(airtime.as_micros());
-            o.energy_tx_nj
-                .shift(bits_on_air as f64 * self.radio.energy.tx_nj_per_bit);
-            o.tx_span_start(seq, at.as_micros());
+            bits_on_air,
+            airtime_micros: airtime.as_micros(),
         }
+        .record(
+            &mut self.stats,
+            self.obs.as_mut(),
+            self.radio.energy.tx_nj_per_bit,
+        );
+        self.trace_with(|| event);
         self.schedule(end, EventKind::TxEnd { seq, node });
     }
 
     fn tx_end(&mut self, seq: u64, node: NodeId) {
-        self.nodes[node.index()].transmitting = false;
+        self.macs[node.index()].transmitting = false;
         // O(1) record lookup; takes the frame out of the record instead
         // of cloning it.
         let (frame, bits_on_air, tx_start, tx_end_at) = self.medium.end_tx(seq);
         if let Some(o) = &mut self.obs {
             o.tx_span_end(seq, tx_end_at.as_micros());
         }
-        let rx_nj = bits_on_air as f64 * self.radio.energy.rx_nj_per_bit;
+        // A copy, so the receive loop below can still borrow `self`.
+        let radio = self.radio;
+        let tx = Airing {
+            seq,
+            sender: node,
+            start: tx_start,
+            end: tx_end_at,
+            bits_on_air,
+            frame: &frame,
+            radio: &radio,
+        };
         // Receivers in deterministic id order, straight off the
         // adjacency cache into a reused scratch buffer.
         let mut receivers = std::mem::take(&mut self.receiver_scratch);
@@ -720,199 +601,55 @@ impl<P: Protocol> Simulator<P> {
             // Draw before any filtering so the RNG stream is identical
             // across duty-cycle and fault configurations.
             let draw: f64 = self.rng.gen_range(0.0..1.0);
-            if self.faults.severs(node, receiver, self.now) {
-                self.stats.partition_losses += 1;
-                if let Some(o) = &self.obs {
-                    o.drop_for(LossReason::Partitioned);
-                }
-                let at = self.now;
-                self.trace_with(|| TraceEvent::Lost {
-                    at,
-                    from: node,
-                    to: receiver,
-                    seq,
-                    reason: LossReason::Partitioned,
-                });
-                continue;
-            }
-            if let Some(duty) = self.nodes[receiver.index()].duty_cycle {
-                if !duty.awake_during(tx_start, tx_end_at) {
-                    self.stats.sleep_misses += 1;
-                    if let Some(o) = &self.obs {
-                        o.drop_for(LossReason::Asleep);
-                    }
-                    let at = self.now;
-                    self.trace_with(|| TraceEvent::Lost {
-                        at,
-                        from: node,
-                        to: receiver,
-                        seq,
-                        reason: LossReason::Asleep,
-                    });
-                    continue;
-                }
-            }
-            let verdict =
-                self.medium
-                    .judge(seq, receiver, draw, self.radio.frame_loss, &self.topology);
-            let at = self.now;
-            match verdict {
-                Verdict::Failed(failure) => {
-                    match failure {
-                        DeliveryFailure::HalfDuplex => self.stats.half_duplex_losses += 1,
-                        DeliveryFailure::RfCollision => {
-                            self.nodes[receiver.index()]
-                                .meter
-                                .record_rx(bits_on_air, tx_end_at.since(tx_start).as_micros());
-                            self.stats.rf_collisions += 1;
-                        }
-                        DeliveryFailure::RandomLoss => {
-                            self.nodes[receiver.index()]
-                                .meter
-                                .record_rx(bits_on_air, tx_end_at.since(tx_start).as_micros());
-                            self.stats.random_losses += 1;
-                        }
-                    }
-                    if let Some(o) = &self.obs {
-                        o.drop_for(failure.into());
-                        if !matches!(failure, DeliveryFailure::HalfDuplex) {
-                            o.energy_rx_nj.shift(rx_nj);
-                        }
-                    }
-                    self.trace_with(|| TraceEvent::Lost {
-                        at,
-                        from: node,
-                        to: receiver,
-                        seq,
-                        reason: failure.into(),
-                    });
-                }
-                Verdict::Delivered => {
-                    self.nodes[receiver.index()]
-                        .meter
-                        .record_rx(bits_on_air, tx_end_at.since(tx_start).as_micros());
-                    if let Some(o) = &self.obs {
-                        o.energy_rx_nj.shift(rx_nj);
-                    }
-                    // The fault channel judges the frame last, from its
-                    // own RNG stream: erasure drops it, a positive BER
-                    // may flip payload bits on a per-receiver copy.
-                    let mut corrupted: Option<(Frame, u64)> = None;
-                    if let Some(channel) = self.faults.channel() {
-                        let fault = channel.judge_frame(
-                            &mut self.fault_bad[receiver.index()],
-                            &mut self.fault_rng,
-                        );
-                        if fault.erased {
-                            self.stats.fault_erasures += 1;
-                            if let Some(o) = &self.obs {
-                                o.drop_for(LossReason::FaultErasure);
-                            }
-                            self.trace_with(|| TraceEvent::Lost {
-                                at,
-                                from: node,
-                                to: receiver,
-                                seq,
-                                reason: LossReason::FaultErasure,
-                            });
-                            continue;
-                        }
-                        if fault.bit_error_rate > 0.0 {
-                            let mut mangled = frame.clone();
-                            let mut flipped = 0u64;
-                            for bit in 0..mangled.payload.bits() {
-                                if self.fault_rng.gen_range(0.0..1.0) < fault.bit_error_rate {
-                                    mangled.payload.flip_bit(bit);
-                                    flipped += 1;
-                                }
-                            }
-                            if flipped > 0 {
-                                corrupted = Some((mangled, flipped));
-                            }
-                        }
-                    }
-                    self.stats.deliveries += 1;
-                    if let Some(o) = &self.obs {
-                        o.deliveries.inc();
-                    }
-                    match corrupted {
-                        Some((mangled, flipped)) => {
-                            self.stats.corrupted_deliveries += 1;
-                            self.stats.flipped_bits += flipped;
-                            if let Some(o) = &self.obs {
-                                o.corrupted_deliveries.inc();
-                                o.flipped_bits.add(flipped);
-                            }
-                            self.trace_with(|| TraceEvent::Corrupted {
-                                at,
-                                from: node,
-                                to: receiver,
-                                seq,
-                                flipped_bits: flipped,
-                            });
-                            self.with_ctx(receiver, |protocol, ctx| {
-                                protocol.on_frame(ctx, &mangled);
-                            });
-                        }
-                        None => {
-                            self.trace_with(|| TraceEvent::Delivered {
-                                at,
-                                from: node,
-                                to: receiver,
-                                seq,
-                            });
-                            self.with_ctx(receiver, |protocol, ctx| protocol.on_frame(ctx, &frame));
-                        }
-                    }
-                }
+            let (medium, topology) = (&self.medium, &self.topology);
+            let reception = rules::receive(
+                &tx,
+                Receiver {
+                    id: receiver,
+                    mac: &mut self.macs[receiver.index()],
+                    fault_bad: &mut self.fault_bad[receiver.index()],
+                    fault_rng: &mut self.fault_rng,
+                },
+                &self.faults,
+                || medium.judge(&tx, receiver, draw, topology),
+                &mut self.stats,
+                self.obs.as_ref(),
+            );
+            self.trace_with(|| reception.trace_event(&tx, receiver));
+            if let Some(received) = reception.frame(&tx) {
+                self.with_ctx(receiver, |protocol, ctx| protocol.on_frame(ctx, received));
             }
         }
         receivers.clear();
         self.receiver_scratch = receivers;
-        if self.mac.dfa_config().is_some() {
-            // Sender-side DFA slot feedback: the transmission collided
-            // iff a foreign audible transmission overlapped its airtime
-            // (judged before pruning below can drop the evidence). A
-            // collided frame re-contends in the node's next frame.
+        let at = if self.mac.dfa_config().is_some() {
+            // Sender-side DFA slot feedback, judged before pruning below
+            // can drop the evidence.
             let collided =
                 self.medium
                     .interference_at(node, tx_start, tx_end_at, seq, &self.topology);
-            if collided {
-                self.dfa_stats.collisions += 1;
-                if self.topology.is_alive(node) {
-                    self.nodes[node.index()].queue.push_front(frame.payload);
-                }
-            } else {
-                self.dfa_stats.successes += 1;
-            }
-            // Re-contend at the frame boundary, not after an ifs: DFA
-            // paces itself by frames.
-            let at = self.nodes[node.index()].dfa_frame_end.max(self.now);
-            self.schedule(at, EventKind::MacTry(node));
+            let frame_end = self.macs[node.index()].dfa_feedback(
+                collided,
+                self.topology.is_alive(node),
+                || frame.payload,
+                &mut self.dfa_stats,
+            );
+            frame_end.max(self.now)
         } else {
             // Next frame, after the inter-frame space.
-            let at = self.now + self.mac.ifs;
-            self.schedule(at, EventKind::MacTry(node));
-        }
-        // Garbage-collect records that can no longer affect judgments:
-        // anything that ended more than two max-size airtimes ago.
-        let slack = self.radio.airtime(self.radio.max_frame_bytes as u32 * 8) * 2;
-        let horizon = SimTime::from_micros(self.now.as_micros().saturating_sub(slack.as_micros()));
-        self.medium.prune(horizon);
+            self.now + self.mac.ifs
+        };
+        self.schedule(at, EventKind::MacTry(node));
+        // Garbage-collect records that can no longer affect judgments.
+        self.medium
+            .prune(rules::prune_horizon(&self.radio, self.now));
     }
-}
-
-/// The next multiple of `slot` at or after `t` — the absolute slot grid
-/// every DFA node aligns its frames to.
-pub(crate) fn align_up(t: SimTime, slot: crate::time::SimDuration) -> SimTime {
-    let step = slot.as_micros();
-    debug_assert!(step > 0, "validated by MacConfig::validate");
-    SimTime::from_micros(t.as_micros().div_ceil(step) * step)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FramePayload;
     use crate::time::SimDuration;
 
     /// Sends `to_send` frames at start; counts frames heard.

@@ -16,15 +16,18 @@
 //! still describe the *retained window* — the linear scans are gone.
 //!
 //! Tracing is off by default (zero cost); enable it with
-//! [`crate::sim::Simulator::enable_trace`].
+//! [`crate::sim::Simulator::enable_trace`] or
+//! [`crate::shard::ShardedSim::enable_trace`]. Both engines build their
+//! transmission and delivery events with the shared radio rules, so
+//! the two record the same event kinds for the same outcomes.
 
 use std::collections::VecDeque;
 
 use retri_obs::{CounterId, Registry, Snapshot};
 
 use crate::grid::FxHashMap;
-use crate::medium::DeliveryFailure;
 use crate::node::NodeId;
+use crate::rules::DeliveryFailure;
 use crate::time::SimTime;
 use crate::topology::Position;
 
